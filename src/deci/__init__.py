@@ -32,14 +32,11 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    BiasAudit,
     Disparity,
     EvalReport,
     InferenceMode,
-    bias_audit,
     evaluate,
     f1_scores,
-    final_scores,
     final_scores_from_z,
     precision_at_k,
     roc_auc,
@@ -64,7 +61,6 @@ from .numerics import (
     binary_cross_entropy,
     finite_difference_check,
     sigmoid,
-    softmax,
 )
 from .training import (
     Checkpoint,

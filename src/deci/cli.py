@@ -24,7 +24,7 @@ from .errors import (
     ConfigError, DimensionError, EvaluationError, FormatError, NumericalError,
     ParseError, ValidationError,
 )
-from .evaluation import InferenceMode, evaluate, final_scores_from_z, run_ablation
+from .evaluation import InferenceMode, final_scores_from_z, run_ablation
 from .model import init_params, pathway_scores_batch
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -295,18 +295,16 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     if labels_path.exists() and LabelSpace.from_file(labels_path) != ckpt.label_space:
         raise ValidationError(f"label space in {labels_path} does not match the checkpoint")
     docs = load_jsonl(data_dir / "test.jsonl", ckpt.label_space)
-    ks = tuple(cfg["eval.ks"])
-    conf_label = _confounded_label_name(cfg, ckpt.label_space)
-    common = dict(ks=ks, max_len=ckpt.max_len, confounded_label=conf_label,
-                  confound_attribute=cfg["data.confound_attribute"])
+    modes = tuple(InferenceMode) if args.ablate else (_mode_from(cfg),)
+    reports = run_ablation(docs, ckpt.params, ckpt.vocab, ckpt.label_space,
+                           ks=tuple(cfg["eval.ks"]), max_len=ckpt.max_len,
+                           confounded_label=_confounded_label_name(cfg, ckpt.label_space),
+                           confound_attribute=cfg["data.confound_attribute"], modes=modes)
     if args.ablate:
-        reports = run_ablation(docs, ckpt.params, ckpt.vocab, ckpt.label_space, **common)
         _print_ablation_table(reports)
         payload = {"command": "eval", "ablation": {m: r.to_dict() for m, r in reports.items()}}
     else:
-        report = evaluate(docs, ckpt.params, ckpt.vocab, ckpt.label_space,
-                          mode=_mode_from(cfg), **common)
-        payload = {"command": "eval", "report": report.to_dict()}
+        payload = {"command": "eval", "report": reports[modes[0].value].to_dict()}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -372,8 +372,10 @@ def save_jsonl(docs: Iterable[Document], path) -> None:
 def load_jsonl(path, label_space: LabelSpace | None = None) -> list[Document]:
     """Read documents back; when label_space is given, every code must be known.
 
-    Malformed lines raise ParseError with the 1-based line number; a code
-    outside label_space raises ValidationError naming the code.
+    Without a label_space the "codes" field is optional and a missing one
+    loads as no codes, so unlabeled notes can be scored. Malformed lines
+    raise ParseError with the 1-based line number; a code outside
+    label_space raises ValidationError naming the code.
     """
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -386,18 +388,20 @@ def load_jsonl(path, label_space: LabelSpace | None = None) -> list[Document]:
                 raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
             if not isinstance(rec, dict):
                 raise ParseError("expected a JSON object", lineno)
-            missing = [f for f in _DOC_FIELDS if f not in rec]
+            missing = [f for f in _DOC_FIELDS
+                       if f not in rec and (f != "codes" or label_space is not None)]
             extra = [f for f in rec if f not in _DOC_FIELDS]
             if missing or extra:
                 raise ParseError(f"missing fields {missing}, unexpected fields {extra}", lineno)
             if not isinstance(rec["id"], str) or not isinstance(rec["text"], str):
                 raise ParseError("id and text must be strings", lineno)
-            if not isinstance(rec["codes"], list) or not all(isinstance(c, str) for c in rec["codes"]):
+            codes = rec.get("codes", [])
+            if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
                 raise ParseError("codes must be an array of strings", lineno)
             try:
                 doc = Document(
                     id=rec["id"], text=rec["text"], age=rec["age"], gender=rec["gender"],
-                    codes=tuple(rec["codes"]),
+                    codes=tuple(codes),
                 )
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from None

@@ -1,4 +1,4 @@
-"""Inference modes, ranking and classification metrics, and the bias audit.
+"""Inference modes, ranking and classification metrics, and the FPR disparity.
 
 Every inference mode is a pure function of the three pathway scores, so one
 trained model supports the whole ablation table:
@@ -50,10 +50,6 @@ def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
     if mode is InferenceMode.WO_ZE:
         return sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d))
     raise ValueError(f"unknown inference mode {mode!r}")
-
-
-def final_scores(scores: M.PathwayScores, mode: InferenceMode) -> np.ndarray:
-    return final_scores_from_z(scores.z_k, scores.z_d, scores.z_e, mode)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -191,7 +187,7 @@ class EvalReport:
         }
 
 
-def _report(scores, gold, label_space, mode, ks, docs, confounded_label, attribute) -> EvalReport:
+def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -> EvalReport:
     pred = scores >= 0.5
     per_label_auc = []
     skipped = []
@@ -207,10 +203,8 @@ def _report(scores, gold, label_space, mode, ks, docs, confounded_label, attribu
     macro_f1, micro_f1, per_label_f1 = f1_scores(pred, gold)
     disparity = None
     if confounded_label is not None:
-        predicate = confound_predicate(attribute)
-        in_a = np.array([predicate(d.age, d.gender) for d in docs], dtype=bool)
         li = label_space.index(confounded_label)
-        disparity = _disparity(pred[:, li], gold[:, li].astype(bool), in_a, confounded_label)
+        disparity = _disparity(pred[:, li], gold[:, li].astype(bool), in_group_a, confounded_label)
     return EvalReport(
         mode=mode.value,
         n_docs=int(scores.shape[0]),
@@ -225,65 +219,36 @@ def _report(scores, gold, label_space, mode, ks, docs, confounded_label, attribu
     )
 
 
-def evaluate(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-             mode: InferenceMode = InferenceMode.DECI, ks: tuple[int, ...] = (5,),
-             max_len: int = M.DEFAULT_MAX_LEN, confounded_label: str | None = None,
-             confound_attribute: str = "age>=65") -> EvalReport:
-    """Score docs under one mode and assemble the full report.
+def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
+                 ks: tuple[int, ...] = (5,), max_len: int = M.DEFAULT_MAX_LEN,
+                 confounded_label: str | None = None, confound_attribute: str = "age>=65",
+                 modes: tuple[InferenceMode, ...] = tuple(InferenceMode)) -> dict[str, EvalReport]:
+    """One report per mode in modes, keyed by mode value, from a single forward pass.
 
     Labels with a single class in the gold data are skipped by macro AUC and
     listed in the report; micro AUC pools every (document, label) cell. With
-    a confounded_label, the report also carries the FPR disparity for this
-    mode. Results do not depend on document order.
+    a confounded_label, each report also carries the FPR disparity between
+    documents satisfying confound_attribute and the rest. Results do not
+    depend on document order.
     """
     if not docs:
         raise EvaluationError("cannot evaluate an empty document collection")
     z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
     gold = np.stack([label_space.multi_hot(d.codes) for d in docs])
-    scores = final_scores_from_z(z_k, z_d, z_e, mode)
-    return _report(scores, gold, label_space, mode, ks, docs, confounded_label, confound_attribute)
+    in_group_a = None
+    if confounded_label is not None:
+        predicate = confound_predicate(confound_attribute)
+        in_group_a = np.array([predicate(d.age, d.gender) for d in docs], dtype=bool)
+    return {mode.value: _report(final_scores_from_z(z_k, z_d, z_e, mode), gold, label_space,
+                                mode, ks, confounded_label, in_group_a)
+            for mode in modes}
 
 
-def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-                 ks: tuple[int, ...] = (5,), max_len: int = M.DEFAULT_MAX_LEN,
-                 confounded_label: str | None = None,
-                 confound_attribute: str = "age>=65") -> dict[str, EvalReport]:
-    """One report per inference mode, from a single forward pass."""
-    if not docs:
-        raise EvaluationError("cannot evaluate an empty document collection")
-    z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
-    gold = np.stack([label_space.multi_hot(d.codes) for d in docs])
-    out = {}
-    for mode in InferenceMode:
-        scores = final_scores_from_z(z_k, z_d, z_e, mode)
-        out[mode.value] = _report(scores, gold, label_space, mode, ks, docs,
-                                  confounded_label, confound_attribute)
-    return out
-
-
-@dataclass
-class BiasAudit:
-    label: str
-    deci: Disparity
-    naive: Disparity
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "deci": self.deci.to_dict(), "naive": self.naive.to_dict()}
-
-
-def bias_audit(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-               confounded_label: str, confound_attribute: str = "age>=65",
-               max_len: int = M.DEFAULT_MAX_LEN) -> BiasAudit:
-    """FPR disparity on the confounded label under debiased vs naive scoring."""
-    if not docs:
-        raise EvaluationError("cannot audit an empty document collection")
-    z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
-    li = label_space.index(confounded_label)
-    gold = np.array([confounded_label in d.codes for d in docs], dtype=bool)
-    predicate = confound_predicate(confound_attribute)
-    in_a = np.array([predicate(d.age, d.gender) for d in docs], dtype=bool)
-    audits = {}
-    for mode in (InferenceMode.DECI, InferenceMode.NAIVE):
-        pred = final_scores_from_z(z_k, z_d, z_e, mode)[:, li] >= 0.5
-        audits[mode.value] = _disparity(pred, gold, in_a, confounded_label)
-    return BiasAudit(label=confounded_label, deci=audits["deci"], naive=audits["naive"])
+def evaluate(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
+             mode: InferenceMode = InferenceMode.DECI, ks: tuple[int, ...] = (5,),
+             max_len: int = M.DEFAULT_MAX_LEN, confounded_label: str | None = None,
+             confound_attribute: str = "age>=65") -> EvalReport:
+    """The run_ablation report for a single mode."""
+    return run_ablation(docs, params, vocab, label_space, ks=ks, max_len=max_len,
+                        confounded_label=confounded_label,
+                        confound_attribute=confound_attribute, modes=(mode,))[mode.value]

@@ -31,15 +31,6 @@ def sigmoid(x):
     return out
 
 
-def softmax(x):
-    """1-D softmax with max subtraction. Entries positive, sum 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def binary_cross_entropy(p, y):
     """Mean over entries of -[y log p + (1-y) log(1-p)], p clamped to [eps, 1-eps]."""
     p = np.asarray(p, dtype=np.float64)
@@ -50,39 +41,6 @@ def binary_cross_entropy(p, y):
         raise DimensionError("binary_cross_entropy on empty input")
     p = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
-def matmul(a, b):
-    """(m, k) @ (k, n) -> (m, n)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def add(a, b):
-    """Elementwise sum of two same-shape arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"add expects matching shapes, got {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(a, c):
-    """Multiply every entry of a by scalar c."""
-    return np.asarray(a, dtype=np.float64) * float(c)
-
-
-def transpose(a):
-    """Swap the two axes of a 2-D array."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D array, got shape {a.shape}")
-    return a.T.copy()
 
 
 @dataclass

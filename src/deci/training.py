@@ -8,6 +8,7 @@ hand-derived for this fixed architecture and checked against central
 differences in the test suite.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -100,15 +101,12 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
         return total, parts, None
     grads = M.zero_grads(params)
     zeros = np.zeros_like(gk)
-    if cfg.stop_bias_encoder_grad:
-        M.backward_batch(params, full, gk, zeros, grads)
+    stop = cfg.stop_bias_encoder_grad
+    M.backward_batch(params, full, gk, zeros if stop else cfg.beta * ge, grads)
+    if stop:
         M.backward_batch(params, full, zeros, cfg.beta * ge, grads, heads_only=True)
-        if cfg.alpha != 0.0:
-            M.backward_batch(params, demo, cfg.alpha * gd, zeros, grads, heads_only=True)
-    else:
-        M.backward_batch(params, full, gk, cfg.beta * ge, grads)
-        if cfg.alpha != 0.0:
-            M.backward_batch(params, demo, cfg.alpha * gd, zeros, grads)
+    if cfg.alpha != 0.0:
+        M.backward_batch(params, demo, cfg.alpha * gd, zeros, grads, heads_only=stop)
     return total, parts, grads
 
 
@@ -274,15 +272,20 @@ def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space:
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     dims = (params.vocab_size, params.embed_dim, params.hidden_dim, params.n_labels, params.n_experts)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<5I", *dims))
-        for arr in params.named_arrays().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<5I", *dims))
+            for arr in params.named_arrays().values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

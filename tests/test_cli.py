@@ -170,6 +170,23 @@ def test_predict_handles_unknown_tokens(pipeline, tmp_path, capsys):
     assert all(0.0 <= s <= 1.0 for s in line["scores"])
 
 
+def test_predict_accepts_notes_without_codes(pipeline, tmp_path, capsys):
+    _, run = pipeline
+    rec = {"id": "u", "text": "k000w0 k001w0", "age": 70, "gender": "M"}
+    unlabeled = tmp_path / "unlabeled.jsonl"
+    unlabeled.write_text(json.dumps(rec) + "\n")
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text(json.dumps({**rec, "codes": ["C000"]}) + "\n")
+    assert main(["predict", "--run.dir", str(run), str(unlabeled)]) == 0
+    out = capsys.readouterr().out
+    line = json.loads(out)
+    assert line["doc_id"] == "u"
+    assert len(line["scores"]) == 6
+    # gold codes never reach the scores
+    assert main(["predict", "--run.dir", str(run), str(labeled)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_predict_empty_input(pipeline, tmp_path, capsys):
     _, run = pipeline
     path = tmp_path / "empty.jsonl"

@@ -393,7 +393,7 @@ def test_jsonl_rejects_missing_and_extra_fields(tmp_path):
     path = tmp_path / "docs.jsonl"
     path.write_text('{"id": "a", "text": "x", "age": 30, "gender": "M"}\n')
     with pytest.raises(ParseError, match="codes"):
-        load_jsonl(path)
+        load_jsonl(path, LabelSpace(["C000"]))
     path.write_text(
         '{"id": "a", "text": "x", "age": 30, "gender": "M", "codes": [], "extra": 1}\n'
     )

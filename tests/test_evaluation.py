@@ -13,7 +13,6 @@ from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_syntheti
 from deci.errors import DimensionError, EvaluationError
 from deci.evaluation import (
     InferenceMode,
-    bias_audit,
     evaluate,
     f1_scores,
     final_scores_from_z,
@@ -277,11 +276,26 @@ def test_run_ablation_covers_all_modes(eval_world):
     assert solo.to_dict() == table["naive"].to_dict()
 
 
+def test_run_ablation_modes_subset(eval_world):
+    docs, params, vocab, labels = eval_world
+    full = run_ablation(docs, params, vocab, labels, ks=(1, 3), max_len=10, confounded_label="C000")
+    modes = (InferenceMode.WO_ZE, InferenceMode.DECI)
+    subset = run_ablation(docs, params, vocab, labels, ks=(1, 3), max_len=10,
+                          confounded_label="C000", modes=modes)
+    assert list(subset) == ["wo-ze", "deci"]
+    for mode, report in subset.items():
+        assert report.to_dict() == full[mode].to_dict()
+
+
+BIAS_AUDIT_MODES = (InferenceMode.DECI, InferenceMode.NAIVE)
+
+
 def test_bias_audit_reports_both_modes(eval_world):
     docs, params, vocab, labels = eval_world
-    audit = bias_audit(docs, params, vocab, labels, confounded_label="C000", max_len=10)
-    assert audit.label == "C000"
-    for disp in (audit.deci, audit.naive):
+    audit = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000",
+                         modes=BIAS_AUDIT_MODES)
+    assert set(audit) == {"deci", "naive"}
+    for disp in (audit["deci"].disparity, audit["naive"].disparity):
         assert disp.label == "C000"
         if disp.gap is not None:
             assert disp.gap == pytest.approx(abs(disp.group_a_fpr - disp.group_b_fpr))
@@ -296,7 +310,9 @@ def test_bias_audit_handles_group_without_negatives(eval_world):
         Document(id="c", text="k001w0", age=30, gender="M", codes=("C001",)),
         Document(id="d", text="k002w0", age=20, gender="F", codes=("C002",)),
     ]
-    audit = bias_audit(docs, params, vocab, labels, confounded_label="C000", max_len=10)
-    assert audit.deci.group_a_fpr is None
-    assert audit.deci.gap is None
-    assert audit.deci.group_b_fpr is not None
+    audit = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000",
+                         modes=BIAS_AUDIT_MODES)
+    deci = audit["deci"].disparity
+    assert deci.group_a_fpr is None
+    assert deci.gap is None
+    assert deci.group_b_fpr is not None

@@ -16,15 +16,11 @@ from deci.numerics import (
     LOG_EPS,
     binary_cross_entropy,
     finite_difference_check,
-    matmul,
     sigmoid,
-    softmax,
-    transpose,
 )
 
 # mpmath.mp.dps = 50 reference values.
 SIGMOID_2 = 0.88079707797788244406
-SOFTMAX_1_2 = (0.26894142136999512075, 0.73105857863000487925)
 NEG_LOG_09 = 0.10536051565782630123
 LN2 = 0.69314718055994530942
 
@@ -59,42 +55,6 @@ def test_sigmoid_monotone(x, dx):
     assert sigmoid(x + dx) >= sigmoid(x)
 
 
-def test_softmax_frozen_values():
-    out = softmax(np.array([1.0, 2.0]))
-    assert out[0] == pytest.approx(SOFTMAX_1_2[0], abs=1e-15)
-    assert out[1] == pytest.approx(SOFTMAX_1_2[1], abs=1e-15)
-
-
-def test_softmax_uniform_on_equal_scores():
-    out = softmax(np.zeros(4))
-    np.testing.assert_allclose(out, 0.25, atol=1e-15)
-
-
-def test_softmax_rejects_bad_shapes():
-    with pytest.raises(DimensionError):
-        softmax(np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        softmax(np.zeros(0))
-
-
-@given(
-    st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8),
-    st.floats(min_value=-50.0, max_value=50.0),
-)
-def test_softmax_sums_to_one_and_shift_invariant(xs, c):
-    x = np.array(xs)
-    out = softmax(x)
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(out > 0.0)
-    np.testing.assert_allclose(softmax(x + c), out, atol=1e-12)
-
-
-def test_softmax_large_scores_do_not_overflow():
-    with np.errstate(over="raise"):
-        out = softmax(np.array([1000.0, 1000.0, 0.0]))
-    assert out[0] == pytest.approx(0.5, abs=1e-12)
-
-
 def test_bce_frozen_values():
     assert binary_cross_entropy(np.array([0.9]), np.array([1.0])) == pytest.approx(NEG_LOG_09, abs=1e-15)
     assert binary_cross_entropy(np.array([0.5]), np.array([0.0])) == pytest.approx(LN2, abs=1e-15)
@@ -124,30 +84,6 @@ def test_bce_perfect_confidence_bounded():
     # worst case is -log(eps); nothing should be inf
     got = binary_cross_entropy(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert math.isfinite(got)
-
-
-def test_matmul_frozen_example():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_identity():
-    a = np.arange(9.0).reshape(3, 3)
-    np.testing.assert_array_equal(matmul(np.eye(3), a), a)
-
-
-def test_matmul_rejects_bad_dims():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        matmul(np.zeros(3), np.zeros((3, 1)))
-
-
-def test_transpose_involution():
-    a = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(transpose(transpose(a)), a)
-    with pytest.raises(DimensionError):
-        transpose(np.zeros(3))
 
 
 def quadratic_loss(params):

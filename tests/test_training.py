@@ -330,6 +330,17 @@ def test_checkpoint_preserves_gate_mode(tiny_world, tmp_path):
     assert load_checkpoint(path).params.gate_per_label is False
 
 
+def test_checkpoint_failed_save_leaves_no_temp_file(tiny_world, tmp_path):
+    _, _, vocab, labels = tiny_world
+    params = tiny_params(vocab, labels)
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        save_checkpoint(target, params, vocab, labels, max_len=8)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert target.is_dir()
+
+
 def test_checkpoint_magic_and_version_rejected(tiny_world, tmp_path):
     _, _, vocab, labels = tiny_world
     path = tmp_path / "m.deci"
