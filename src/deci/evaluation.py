@@ -34,21 +34,37 @@ class InferenceMode(Enum):
     WO_ZE = "wo-ze"
 
 
+_BELOW_HALF = np.nextafter(0.5, 0.0)
+
+
+def _on_side_of(scores: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Keep each score on the side of 0.5 that the sign of its margin sets.
+
+    Every mode's score is sigmoid of a quantity with the sign of a known
+    margin, so it is >= 0.5 exactly when the margin is >= 0. In float64 a
+    small negative margin can still round the score up to 0.5: sigmoid of
+    anything in (-1e-16, 0) is 0.5, and sigmoid(a) - sigmoid(b) cancels to 0
+    when both are saturated. Such scores become the largest float below 0.5.
+    """
+    return np.where(margin < 0, np.minimum(scores, _BELOW_HALF), np.maximum(scores, 0.5))
+
+
 def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
     """Per-label prediction scores in [0, 1] under the given mode."""
     z_k = np.asarray(z_k, dtype=np.float64)
     z_d = np.asarray(z_d, dtype=np.float64)
     z_e = np.asarray(z_e, dtype=np.float64)
     if mode is InferenceMode.DECI:
-        return sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d + z_e))
+        return _on_side_of(sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d + z_e)), z_k)
     if mode is InferenceMode.NAIVE:
-        return sigmoid(z_k + z_d + z_e)
+        z = z_k + z_d + z_e
+        return _on_side_of(sigmoid(z), z)
     if mode is InferenceMode.KNOWLEDGE_ONLY:
-        return sigmoid(z_k)
+        return _on_side_of(sigmoid(z_k), z_k)
     if mode is InferenceMode.WO_ZD:
-        return sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_e))
+        return _on_side_of(sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_e)), z_k + z_d)
     if mode is InferenceMode.WO_ZE:
-        return sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d))
+        return _on_side_of(sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d)), z_k + z_e)
     raise ValueError(f"unknown inference mode {mode!r}")
 
 
