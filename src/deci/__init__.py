@@ -44,6 +44,7 @@ from .evaluation import (
 )
 from .model import (
     ForwardTrace,
+    ModelConfig,
     ModelParams,
     PathwayScores,
     encode,
@@ -58,7 +59,6 @@ from .model import (
 )
 from .numerics import (
     GradCheckReport,
-    binary_cross_entropy,
     finite_difference_check,
     sigmoid,
 )
@@ -67,7 +67,6 @@ from .training import (
     TrainConfig,
     load_checkpoint,
     loss_and_grads,
-    pathway_predictions,
     save_checkpoint,
     total_loss,
     train,

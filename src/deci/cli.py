@@ -2,8 +2,10 @@
 
 Configuration is a flat map of dotted keys. Values come from built-in
 defaults, then an optional JSON config file, then CLI flags; later sources
-win. Every key has a flag of the same name (--data.n_labels 30), and the
-common knobs have short aliases (--alpha, --lr, ...).
+win. The defaults are the fields of SyntheticConfig ("data.*"), ModelConfig
+("model.*") and TrainConfig ("train.*"). Every key has a flag of the same
+name (--data.n_labels 30), and the common knobs have short aliases (--alpha,
+--lr, ...).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or file
 format error, 3 numerical failure.
@@ -12,7 +14,9 @@ format error, 3 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -25,47 +29,36 @@ from .errors import (
     ParseError, ValidationError,
 )
 from .evaluation import InferenceMode, final_scores_from_z, run_ablation
-from .model import init_params, pathway_scores_batch
+from .model import ModelConfig, init_params, pathway_scores_batch
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
-DEFAULTS = {
-    "seed": 0,
-    "data.dir": "data",
-    "data.n_labels": 20,
-    "data.vocab_size": 1000,
-    "data.n_train": 2000,
-    "data.n_dev": 500,
-    "data.n_test": 500,
-    "data.doc_len": 24,
-    "data.keywords_per_label": 1,
-    "data.confounded_label": 0,
-    "data.confound_attribute": "age>=65",
-    "data.p_conf_train": 0.9,
-    "data.p_conf_test": 0.5,
-    "data.noise_rate": 0.9,
-    "data.label_skew": 1.25,
-    "model.embed_dim": 100,
-    "model.hidden_dim": 100,
-    "model.n_experts": 4,
-    "model.max_len": 16,
-    "model.gate_per_label": True,
-    "train.alpha": 0.5,
-    "train.beta": 0.5,
-    "train.lr": 1e-3,
-    "train.epochs": 6,
-    "train.batch_size": 32,
-    "train.adam_beta1": 0.9,
-    "train.adam_beta2": 0.999,
-    "train.adam_eps": 1e-8,
-    "train.grad_clip_norm": 5.0,
-    "train.stop_bias_encoder_grad": False,
-    "run.dir": "run",
-    "eval.mode": "deci",
-    "eval.ks": [5],
+# Each dataclass field is the config key "<section>.<field>", except the seed
+# that the corpus and the trainer share, which is the one key "seed", and
+# TrainConfig.learning_rate, which is "train.lr".
+_KEY_OF_FIELD = {"seed": "seed", "learning_rate": "train.lr"}
+
+# dataclass -> {field name: config key}, in field order.
+_FIELD_KEYS = {
+    cls: {f.name: _KEY_OF_FIELD.get(f.name, f"{section}.{f.name}") for f in fields(cls)}
+    for section, cls in (("data", SyntheticConfig), ("model", ModelConfig), ("train", TrainConfig))
 }
 
-# Keys where JSON null / "none" is a legal value.
-_OPTIONAL_KEYS = {"train.grad_clip_norm"}
+
+def _defaults() -> dict:
+    # Key order is the order of the config echo in every manifest.
+    derived = {key: getattr(cls, name)
+               for cls, keys in _FIELD_KEYS.items() for name, key in keys.items()}
+    return {"seed": derived.pop("seed"), "data.dir": "data", **derived,
+            "run.dir": "run", "eval.mode": "deci", "eval.ks": [5]}
+
+
+DEFAULTS = _defaults()
+
+# Keys where JSON null / "none" is a legal value: fields annotated "... | None".
+_OPTIONAL_KEYS = {
+    keys[name] for cls, keys in _FIELD_KEYS.items()
+    for name, hint in get_type_hints(cls).items() if type(None) in get_args(hint)
+}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -140,28 +133,17 @@ class RunConfig:
     def echo(self) -> dict:
         return dict(self._values)
 
+    def _dataclass(self, cls):
+        return cls(**{name: self._values[key] for name, key in _FIELD_KEYS[cls].items()})
+
     def synthetic_config(self) -> SyntheticConfig:
-        v = self._values
-        return SyntheticConfig(
-            n_labels=v["data.n_labels"], vocab_size=v["data.vocab_size"],
-            n_train=v["data.n_train"], n_dev=v["data.n_dev"], n_test=v["data.n_test"],
-            doc_len=v["data.doc_len"], keywords_per_label=v["data.keywords_per_label"],
-            confounded_label=v["data.confounded_label"],
-            confound_attribute=v["data.confound_attribute"],
-            p_conf_train=v["data.p_conf_train"], p_conf_test=v["data.p_conf_test"],
-            noise_rate=v["data.noise_rate"], label_skew=v["data.label_skew"],
-            seed=v["seed"],
-        )
+        return self._dataclass(SyntheticConfig)
+
+    def model_config(self) -> ModelConfig:
+        return self._dataclass(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        v = self._values
-        return TrainConfig(
-            alpha=v["train.alpha"], beta=v["train.beta"], learning_rate=v["train.lr"],
-            epochs=v["train.epochs"], batch_size=v["train.batch_size"], seed=v["seed"],
-            adam_beta1=v["train.adam_beta1"], adam_beta2=v["train.adam_beta2"],
-            adam_eps=v["train.adam_eps"], grad_clip_norm=v["train.grad_clip_norm"],
-            stop_bias_encoder_grad=v["train.stop_bias_encoder_grad"],
-        )
+        return self._dataclass(TrainConfig)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,21 +234,21 @@ def cmd_train(cfg: RunConfig, args) -> int:
     dev_path = data_dir / "dev.jsonl"
     dev_docs = load_jsonl(dev_path, label_space) if dev_path.exists() else []
     vocab = Vocabulary.from_documents(train_docs)
+    mcfg = cfg.model_config()
     params = init_params(
         vocab.size, len(label_space),
-        embed_dim=cfg["model.embed_dim"], hidden_dim=cfg["model.hidden_dim"],
-        n_experts=cfg["model.n_experts"], seed=cfg["seed"],
-        gate_per_label=cfg["model.gate_per_label"],
+        embed_dim=mcfg.embed_dim, hidden_dim=mcfg.hidden_dim,
+        n_experts=mcfg.n_experts, seed=cfg["seed"],
+        gate_per_label=mcfg.gate_per_label,
     )
-    tcfg = cfg.train_config()
-    best, log = train(train_docs, dev_docs, params, vocab, label_space, tcfg,
-                      max_len=cfg["model.max_len"])
+    best, log = train(train_docs, dev_docs, params, vocab, label_space, cfg.train_config(),
+                      max_len=mcfg.max_len)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "epochs.jsonl", "w", encoding="utf-8") as fh:
         for record in log:
             fh.write(json.dumps(record) + "\n")
     save_checkpoint(out_dir / "checkpoint.deci", best, vocab, label_space,
-                    max_len=cfg["model.max_len"], config=cfg.echo())
+                    max_len=mcfg.max_len, config=cfg.echo())
     _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo()})
     final_dev = log[-1]["dev_metrics"]
     print(json.dumps({"final_dev_metrics": final_dev, "epochs": len(log)}))

@@ -214,7 +214,7 @@ class SyntheticConfig:
     demographic shortcut is genuinely tempting for a classifier.
 
     The default doc_len (24) deliberately exceeds the window the bundled
-    experiment configures (cli.DEFAULTS "model.max_len" = 16: two demographic
+    experiment configures (model.ModelConfig.max_len = 16: two demographic
     tokens plus 14 note tokens), so a minority of documents have all their
     keyword evidence for a gold label truncated away. Those documents
     are where a classifier can profit from the demographic shortcut: the

@@ -19,9 +19,20 @@ from .errors import DimensionError
 from .numerics import sigmoid
 
 # Generic input window for real notes. The bundled synthetic experiment runs
-# at a much smaller window (cli.DEFAULTS "model.max_len" = 16) so that part of
-# the keyword evidence is truncated away; see corpus.SyntheticConfig.
+# at a much smaller window (ModelConfig.max_len = 16) so that part of the
+# keyword evidence is truncated away; see corpus.SyntheticConfig.
 DEFAULT_MAX_LEN = 256
+
+
+@dataclass
+class ModelConfig:
+    """Architecture and input window of the bundled experiment."""
+
+    embed_dim: int = 100
+    hidden_dim: int = 100
+    n_experts: int = 4
+    max_len: int = 16
+    gate_per_label: bool = True
 
 
 @dataclass
@@ -84,11 +95,11 @@ class ModelParams:
 def init_params(
     vocab_size: int,
     n_labels: int,
-    embed_dim: int = 100,
-    hidden_dim: int = 100,
-    n_experts: int = 4,
+    embed_dim: int = ModelConfig.embed_dim,
+    hidden_dim: int = ModelConfig.hidden_dim,
+    n_experts: int = ModelConfig.n_experts,
     seed: int = 0,
-    gate_per_label: bool = True,
+    gate_per_label: bool = ModelConfig.gate_per_label,
 ) -> ModelParams:
     """Fresh parameters: uniform(-0.1, 0.1) embeddings, scaled-uniform
     projections, zero biases and zero gate weights.

@@ -1,4 +1,4 @@
-"""Dense float64 primitives: stable activations, losses, and a gradient checker.
+"""Dense float64 primitives: a stable sigmoid and a gradient checker.
 
 All public operations are deterministic: no reduction-order nondeterminism,
 so a fixed seed upstream yields bit-identical results run to run.
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-
-# Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] before any log.
-LOG_EPS = 1e-7
 
 
 def sigmoid(x):
@@ -29,18 +26,6 @@ def sigmoid(x):
     e = np.exp(x[neg])
     out[neg] = e / (1.0 + e)
     return out
-
-
-def binary_cross_entropy(p, y):
-    """Mean over entries of -[y log p + (1-y) log(1-p)], p clamped to [eps, 1-eps]."""
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise DimensionError(f"probability/target shape mismatch: {p.shape} vs {y.shape}")
-    if p.size == 0:
-        raise DimensionError("binary_cross_entropy on empty input")
-    p = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from . import model as M
 from .corpus import LabelSpace, Vocabulary
 from .errors import ConfigError, FormatError, NumericalError
 from .evaluation import InferenceMode, f1_scores, final_scores_from_z, roc_auc
-from .numerics import LOG_EPS, sigmoid
+from .numerics import sigmoid
 
 CHECKPOINT_MAGIC = b"DECI"
 CHECKPOINT_VERSION = 1
@@ -61,24 +61,17 @@ class TrainConfig:
             raise ConfigError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
 
 
-def pathway_predictions(scores: M.PathwayScores):
-    """Per-pathway probabilities (L_K, L_D, L_E) = sigmoid of each raw score."""
-    return sigmoid(scores.z_k), sigmoid(scores.z_d), sigmoid(scores.z_e)
-
-
 def _bce_and_grad(z: np.ndarray, y: np.ndarray):
     """Mean BCE over all cells of sigmoid(z) against y, and d(loss)/dz.
 
-    Probabilities are clamped to [LOG_EPS, 1 - LOG_EPS] inside the logs;
-    a clamped cell contributes zero gradient, matching the piecewise loss.
+    The loss is taken in logits form, softplus(z) - y*z, so it needs no
+    clamp and confidently wrong cells keep their gradient sigmoid(z) - y.
     """
-    p = sigmoid(z)
-    clamped = (p < LOG_EPS) | (p > 1.0 - LOG_EPS)
-    pc = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
-    loss = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-    grad = (p - y) / z.size
-    grad[clamped] = 0.0
-    return loss, grad
+    # softplus(z) = max(z, 0) + log1p(exp(-|z|)) never overflows, and unlike
+    # np.logaddexp it passes NaN through without a warning.
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    loss = float(np.mean(softplus - y * z))
+    return loss, (sigmoid(z) - y) / z.size
 
 
 def _targets(docs, label_space: LabelSpace) -> np.ndarray:
@@ -261,7 +254,7 @@ def _array_shapes(vocab_size, d_e, d_h, n_labels, n_experts):
 
 def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
                     max_len: int, config: dict | None = None) -> None:
-    """Serialize to path atomically (write to a temp file, then rename)."""
+    """Serialize to path atomically (write and fsync a temp file, then rename)."""
     meta = {
         "vocabulary": vocab.to_list(),
         "labels": list(label_space.labels),
@@ -281,6 +274,8 @@ def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space:
                 fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

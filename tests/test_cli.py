@@ -5,10 +5,17 @@ directly. A small corpus and model keep the whole module fast.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deci
 from deci.cli import DEFAULTS, main
+
+SRC_DIR = str(Path(deci.__file__).resolve().parent.parent)
 
 TINY = [
     "--data.n_labels", "6",
@@ -232,6 +239,28 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert manifest["config"]["train.beta"] == DEFAULTS["train.beta"]
 
 
+def test_defaults_keep_their_keys_order_and_values():
+    # manifests echo the config in this order, so it is part of the output
+    expected = [
+        ("seed", 0), ("data.dir", "data"),
+        ("data.n_labels", 20), ("data.vocab_size", 1000), ("data.n_train", 2000),
+        ("data.n_dev", 500), ("data.n_test", 500), ("data.doc_len", 24),
+        ("data.keywords_per_label", 1), ("data.confounded_label", 0),
+        ("data.confound_attribute", "age>=65"), ("data.p_conf_train", 0.9),
+        ("data.p_conf_test", 0.5), ("data.noise_rate", 0.9), ("data.label_skew", 1.25),
+        ("model.embed_dim", 100), ("model.hidden_dim", 100), ("model.n_experts", 4),
+        ("model.max_len", 16), ("model.gate_per_label", True),
+        ("train.alpha", 0.5), ("train.beta", 0.5), ("train.lr", 1e-3), ("train.epochs", 6),
+        ("train.batch_size", 32), ("train.adam_beta1", 0.9), ("train.adam_beta2", 0.999),
+        ("train.adam_eps", 1e-8), ("train.grad_clip_norm", 5.0),
+        ("train.stop_bias_encoder_grad", False),
+        ("run.dir", "run"), ("eval.mode", "deci"), ("eval.ks", [5]),
+    ]
+    assert list(DEFAULTS.items()) == expected
+    # the type of a default decides how its flag is parsed
+    assert [type(v) for v in DEFAULTS.values()] == [type(v) for _, v in expected]
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -265,3 +294,24 @@ def test_eval_ks_parse_from_flag(pipeline, capsys):
 def test_train_rejects_missing_data_dir(tmp_path):
     assert main(["train", "--data.dir", str(tmp_path / "nowhere"),
                  "--run.dir", str(tmp_path / "run")]) == 2
+
+
+def _blas_pinned_outputs(root, threads: int):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    # default model width, so the encoder GEMMs are large enough to be split
+    # across threads; a small corpus and two epochs keep it to a few seconds
+    sizes = ["--data.n_train", "256", "--data.n_dev", "64", "--data.n_test", "64",
+             "--train.epochs", "2"]
+    root.mkdir()
+    for argv in (["gen-data"], ["train"], ["eval", "--ablate", "--out", "ablate.json"]):
+        subprocess.run([sys.executable, "-m", "deci.cli", *argv, *sizes], cwd=root, env=env,
+                       check=True, capture_output=True, timeout=300)
+    return (root / "run" / "checkpoint.deci").read_bytes(), (root / "ablate.json").read_bytes()
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    one = _blas_pinned_outputs(tmp_path / "one", 1)
+    two = _blas_pinned_outputs(tmp_path / "two", 2)
+    assert one[0] == two[0]
+    assert one[1] == two[1]

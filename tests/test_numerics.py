@@ -4,25 +4,16 @@ Expected values were computed once with mpmath at 50 digits and pasted in as
 literals, so these tests do not share code with the implementation under test.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deci.errors import DimensionError, NumericalError
-from deci.numerics import (
-    LOG_EPS,
-    binary_cross_entropy,
-    finite_difference_check,
-    sigmoid,
-)
+from deci.numerics import finite_difference_check, sigmoid
 
 # mpmath.mp.dps = 50 reference values.
 SIGMOID_2 = 0.88079707797788244406
-NEG_LOG_09 = 0.10536051565782630123
-LN2 = 0.69314718055994530942
 
 
 def test_sigmoid_frozen_values():
@@ -53,37 +44,6 @@ def test_sigmoid_antisymmetry(x):
 @given(st.floats(min_value=-30.0, max_value=30.0), st.floats(min_value=0.0, max_value=5.0))
 def test_sigmoid_monotone(x, dx):
     assert sigmoid(x + dx) >= sigmoid(x)
-
-
-def test_bce_frozen_values():
-    assert binary_cross_entropy(np.array([0.9]), np.array([1.0])) == pytest.approx(NEG_LOG_09, abs=1e-15)
-    assert binary_cross_entropy(np.array([0.5]), np.array([0.0])) == pytest.approx(LN2, abs=1e-15)
-    assert binary_cross_entropy(np.array([0.5]), np.array([1.0])) == pytest.approx(LN2, abs=1e-15)
-
-
-def test_bce_is_mean_over_entries():
-    got = binary_cross_entropy(np.array([0.9, 0.5]), np.array([1.0, 1.0]))
-    assert got == pytest.approx((NEG_LOG_09 + LN2) / 2.0, abs=1e-15)
-
-
-def test_bce_clamps_before_log():
-    # p = 0 with y = 1 would be -log(0) unclamped
-    got = binary_cross_entropy(np.array([0.0]), np.array([1.0]))
-    assert got == pytest.approx(-math.log(LOG_EPS), rel=1e-12)
-    assert binary_cross_entropy(np.array([1.0]), np.array([1.0])) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_bce_rejects_mismatch_and_empty():
-    with pytest.raises(DimensionError):
-        binary_cross_entropy(np.zeros(3), np.zeros(2))
-    with pytest.raises(DimensionError):
-        binary_cross_entropy(np.zeros(0), np.zeros(0))
-
-
-def test_bce_perfect_confidence_bounded():
-    # worst case is -log(eps); nothing should be inf
-    got = binary_cross_entropy(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert math.isfinite(got)
 
 
 def quadratic_loss(params):

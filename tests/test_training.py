@@ -5,6 +5,9 @@ compared against central finite differences through the public loss, for both
 gating modes and for corner weightings of the two auxiliary heads.
 """
 
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -17,22 +20,23 @@ from deci.corpus import (
     synthetic_label_space,
 )
 from deci.errors import ConfigError, FormatError, NumericalError
-from deci.model import PathwayScores, forward, init_params, pathway_scores_batch
+from deci.model import forward, init_params, pathway_scores_batch
 from deci.numerics import finite_difference_check, sigmoid
 from deci.training import (
     AdamState,
+    _bce_and_grad,
     CHECKPOINT_MAGIC,
     TrainConfig,
     adam_step,
     clip_gradients,
     load_checkpoint,
     loss_and_grads,
-    pathway_predictions,
     save_checkpoint,
     total_loss,
     train,
 )
 
+LN2 = 0.69314718055994530942  # mpmath: ln 2
 THREE_LN2 = 2.0794415416798359283  # mpmath: 3 * ln 2
 
 
@@ -70,13 +74,14 @@ def test_config_validation():
             bad.validate()
 
 
-def test_pathway_predictions_are_sigmoids():
-    scores = PathwayScores.from_pathways([0.0, 2.0], [50.0, -1.0], [0.3, 0.0])
-    lk, ld, le = pathway_predictions(scores)
-    np.testing.assert_array_equal(lk, sigmoid(scores.z_k))
-    assert lk[0] == 0.5
-    assert ld[0] == pytest.approx(1.0, abs=1e-12)  # deep saturation stays finite
-    np.testing.assert_array_equal(le, sigmoid(scores.z_e))
+def test_bce_gradient_survives_confidently_wrong_cells():
+    # z = -20 with y = 1 is confidently wrong: the loss is ~20 and the
+    # gradient sigmoid(z) - y stays ~-1 instead of being clamped to 0
+    z = np.array([-20.0, 0.0])
+    loss, grad = _bce_and_grad(z, np.array([1.0, 0.0]))
+    assert loss == pytest.approx((20.0 + math.log1p(math.exp(-20.0)) + LN2) / 2.0, abs=1e-15)
+    np.testing.assert_allclose(grad, (sigmoid(z) - [1.0, 0.0]) / 2.0, rtol=0, atol=1e-17)
+    assert grad[0] == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_loss_at_zero_params_is_three_ln2(tiny_world):
@@ -339,6 +344,22 @@ def test_checkpoint_failed_save_leaves_no_temp_file(tiny_world, tmp_path):
         save_checkpoint(target, params, vocab, labels, max_len=8)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert target.is_dir()
+
+
+def test_checkpoint_is_fsynced_before_the_rename(tiny_world, tmp_path, monkeypatch):
+    _, _, vocab, labels = tiny_world
+    target = tmp_path / "model.deci"
+    real_fsync = os.fsync
+    synced = []
+
+    def fsync(fd):
+        (tmp,) = tmp_path.glob("model.deci.tmp.*")
+        synced.append((os.path.samestat(os.fstat(fd), tmp.stat()), target.exists(), tmp.stat().st_size))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    save_checkpoint(target, tiny_params(vocab, labels), vocab, labels, max_len=8)
+    assert synced == [(True, False, target.stat().st_size)]
 
 
 def test_checkpoint_magic_and_version_rejected(tiny_world, tmp_path):
