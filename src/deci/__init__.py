@@ -43,7 +43,6 @@ from .evaluation import (
     run_ablation,
 )
 from .model import (
-    ForwardTrace,
     ModelConfig,
     ModelParams,
     PathwayScores,

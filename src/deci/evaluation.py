@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model as M
 from .corpus import LabelSpace, Vocabulary, confound_predicate
-from .errors import DimensionError, EvaluationError
+from .errors import ConfigError, DimensionError, EvaluationError
 from .numerics import sigmoid
 
 
@@ -70,17 +70,8 @@ def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    ordered = np.sort(values)
+    return (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1) / 2.0
 
 
 def roc_auc(scores, labels) -> float | None:
@@ -137,12 +128,9 @@ def precision_at_k(scores, gold, k: int) -> float:
     if scores.shape != gold.shape or scores.ndim != 2:
         raise DimensionError(f"scores/gold must be matching 2-D matrices, got {scores.shape} and {gold.shape}")
     if not 1 <= k <= scores.shape[1]:
-        raise ValueError(f"k must be in [1, {scores.shape[1]}], got {k}")
-    hits = 0.0
-    for d in range(scores.shape[0]):
-        top = np.argsort(-scores[d], kind="stable")[:k]
-        hits += float(gold[d, top].sum())
-    return hits / (scores.shape[0] * k)
+        raise ConfigError(f"k must be in [1, {scores.shape[1]}], got {k}")
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return float(np.take_along_axis(gold, top, axis=1).sum()) / (scores.shape[0] * k)
 
 
 @dataclass

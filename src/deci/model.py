@@ -146,29 +146,6 @@ class PathwayScores:
         return cls(z_k=z_k, z_d=z_d, z_e=z_e, z_f=z_f)
 
 
-@dataclass
-class BranchTrace:
-    """Intermediates of one encoding branch, enough to backpropagate."""
-
-    token_ids: np.ndarray   # (N,)
-    mask: np.ndarray        # (N,) True at non-PAD
-    embedded: np.ndarray    # (N, d_e), PAD rows zero
-    encoded: np.ndarray     # (N, d_h), PAD rows zero
-    attention: np.ndarray   # (n_labels, N), rows sum to 1 over non-PAD
-    label_repr: np.ndarray  # (n_labels, d_h)
-    expert_scores: np.ndarray  # (n_experts, n_labels)
-    gate: np.ndarray        # (n_labels, n_experts), rows are distributions
-    gated: np.ndarray       # (n_labels,) gate-weighted expert mixture
-    uniform: np.ndarray     # (n_labels,) equal-weight expert mixture
-    degenerate: bool        # True when every position was PAD
-
-
-@dataclass
-class ForwardTrace:
-    full: BranchTrace
-    demo: BranchTrace
-
-
 def _validate_ids(params: ModelParams, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= params.vocab_size):
         bad = ids[(ids < 0) | (ids >= params.vocab_size)][0]
@@ -244,28 +221,10 @@ def pathway_ze(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
     return _mixture(_uniform_gate(params.n_labels, params.n_experts), scores)
 
 
-def _run_branch(params: ModelParams, ids: np.ndarray) -> BranchTrace:
-    ids = np.asarray(ids, dtype=np.int64)
-    _validate_ids(params, ids)
-    mask = ids != PAD_ID
-    embedded = params.embedding[ids] * mask[:, None]
-    encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias) * mask[:, None]
-    label_repr, attn, degenerate = label_attention(params, encoded, mask)
-    scores = expert_scores(params, label_repr)
-    gate = gate_weights(params, label_repr)
-    return BranchTrace(
-        token_ids=ids,
-        mask=mask,
-        embedded=embedded,
-        encoded=encoded,
-        attention=attn,
-        label_repr=label_repr,
-        expert_scores=scores,
-        gate=gate,
-        gated=_mixture(gate, scores),
-        uniform=_mixture(_uniform_gate(params.n_labels, params.n_experts), scores),
-        degenerate=degenerate,
-    )
+def _view_scores(params: ModelParams, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gated, uniform) expert mixtures of one input view of one document."""
+    label_repr, _, _ = label_attention(params, encode(params, ids), ids != PAD_ID)
+    return pathway_zk(params, label_repr), pathway_ze(params, label_repr)
 
 
 def pathway_zd(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -274,16 +233,14 @@ def pathway_zd(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: i
     Depends on the document only through its age bucket and gender, so there
     are exactly eight distinct outputs per parameter set.
     """
-    ids = build_model_input(doc, vocab, max_len, InputMode.DEMOGRAPHIC_ONLY)
-    return _run_branch(params, ids).gated
+    return _view_scores(params, build_model_input(doc, vocab, max_len, InputMode.DEMOGRAPHIC_ONLY))[0]
 
 
-def forward(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int):
-    """Run both views of one document -> (PathwayScores, ForwardTrace)."""
-    full = _run_branch(params, build_model_input(doc, vocab, max_len, InputMode.FULL))
-    demo = _run_branch(params, build_model_input(doc, vocab, max_len, InputMode.DEMOGRAPHIC_ONLY))
-    scores = PathwayScores.from_pathways(z_k=full.gated, z_d=demo.gated, z_e=full.uniform)
-    return scores, ForwardTrace(full=full, demo=demo)
+def forward(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int) -> PathwayScores:
+    """Pathway scores of one document: z_k and z_e from the full view, z_d
+    from the demographic-only view."""
+    z_k, z_e = _view_scores(params, build_model_input(doc, vocab, max_len, InputMode.FULL))
+    return PathwayScores.from_pathways(z_k=z_k, z_d=pathway_zd(params, doc, vocab, max_len), z_e=z_e)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +252,7 @@ def forward(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int)
 
 @dataclass
 class BatchBranch:
-    """Batch analogue of BranchTrace with a leading batch axis."""
+    """Intermediates of one branch over a batch, enough to backpropagate."""
 
     token_ids: np.ndarray    # (B, N)
     mask: np.ndarray         # (B, N)

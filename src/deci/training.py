@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as M
 from .corpus import LabelSpace, Vocabulary
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .evaluation import InferenceMode, f1_scores, final_scores_from_z, roc_auc
 from .numerics import sigmoid
 
@@ -181,7 +181,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
     """
     cfg.validate()
     if not train_docs:
-        raise ValueError("empty training set")
+        raise ValidationError("empty training set")
     params = params.copy()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)

@@ -291,9 +291,27 @@ def test_eval_ks_parse_from_flag(pipeline, capsys):
     assert set(payload["report"]["p_at_k"]) == {"1", "3"}
 
 
+def test_eval_rejects_out_of_range_k(pipeline, capsys):
+    data, run = pipeline
+    capsys.readouterr()
+    assert main(["eval", "--eval.ks", "0", "--data.dir", str(data), "--run.dir", str(run)]) == 1
+    assert capsys.readouterr().err.startswith("error: k must be in")
+
+
 def test_train_rejects_missing_data_dir(tmp_path):
     assert main(["train", "--data.dir", str(tmp_path / "nowhere"),
                  "--run.dir", str(tmp_path / "run")]) == 2
+
+
+def test_train_rejects_empty_training_set(pipeline, tmp_path, capsys):
+    data, _ = pipeline
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "labels.txt").write_bytes((data / "labels.txt").read_bytes())
+    (empty / "train.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["train", *TINY, "--data.dir", str(empty), "--run.dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: empty training set\n"
 
 
 def _blas_pinned_outputs(root, threads: int):

@@ -1,7 +1,8 @@
 """Inference modes and metrics.
 
-roc_auc is checked against a brute-force pairwise oracle; F1 and P@k against
-hand counts; the mode algebra against its exact reduction identities.
+roc_auc is checked against a brute-force pairwise oracle; P@k against hand
+counts and a per-document oracle; F1 against hand counts; the mode algebra
+against its exact reduction identities.
 """
 
 import numpy as np
@@ -192,6 +193,19 @@ def test_precision_at_k_tie_breaks_to_lower_index():
     assert precision_at_k(scores, np.array([[1, 0, 0]], dtype=bool), 1) == 1.0
     assert precision_at_k(scores, np.array([[0, 1, 0]], dtype=bool), 1) == 0.0
     assert precision_at_k(scores, np.array([[0, 1, 0]], dtype=bool), 2) == 0.5
+
+
+def test_precision_at_k_against_per_document_oracle():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n_docs, n_labels = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        scores = rng.random((n_docs, n_labels))
+        if rng.random() < 0.5:
+            scores = np.round(scores, 1)  # force ties
+        gold = rng.random((n_docs, n_labels)) < 0.3
+        for k in range(1, n_labels + 1):
+            hits = sum(int(gold[d, np.argsort(-scores[d], kind="stable")[:k]].sum()) for d in range(n_docs))
+            assert precision_at_k(scores, gold, k) == hits / (n_docs * k)
 
 
 def test_precision_at_k_validates_k():

@@ -267,13 +267,17 @@ def test_zd_has_at_most_eight_values(params, vocab):
 def test_forward_combines_pathways(params, vocab):
     p = randomized(params, 20)
     doc = Document(id="d", text="w1 w4 w4", age=50, gender="M")
-    scores, trace = forward(p, doc, vocab, max_len=8)
-    np.testing.assert_array_equal(scores.z_k, trace.full.gated)
-    np.testing.assert_array_equal(scores.z_d, trace.demo.gated)
-    np.testing.assert_array_equal(scores.z_e, trace.full.uniform)
-    assert not trace.full.degenerate
+    scores = forward(p, doc, vocab, max_len=8)
+    full = build_model_input(doc, vocab, 8, InputMode.FULL)
+    full_repr, _, degenerate = label_attention(p, encode(p, full), full != 0)
+    demo = build_model_input(doc, vocab, 8, InputMode.DEMOGRAPHIC_ONLY)
+    demo_repr, _, _ = label_attention(p, encode(p, demo), demo != 0)
+    np.testing.assert_array_equal(scores.z_k, pathway_zk(p, full_repr))
+    np.testing.assert_array_equal(scores.z_d, pathway_zk(p, demo_repr))
+    np.testing.assert_array_equal(scores.z_e, pathway_ze(p, full_repr))
+    assert not degenerate
     # z_e comes from the full view, not the demographic view
-    assert (scores.z_e != trace.demo.uniform).any()
+    assert (scores.z_e != pathway_ze(p, demo_repr)).any()
 
 
 def test_forward_batch_matches_per_document(params, vocab):
@@ -287,7 +291,7 @@ def test_forward_batch_matches_per_document(params, vocab):
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=6, batch_size=3)
     assert zk.shape == (4, 5)
     for i, doc in enumerate(docs):
-        single, _ = forward(p, doc, vocab, max_len=6)
+        single = forward(p, doc, vocab, max_len=6)
         np.testing.assert_allclose(zk[i], single.z_k, atol=1e-12)
         np.testing.assert_allclose(zd[i], single.z_d, atol=1e-12)
         np.testing.assert_allclose(ze[i], single.z_e, atol=1e-12)
@@ -325,6 +329,6 @@ def test_batch_inputs_layout(params, vocab):
 def test_degenerate_document_all_pathways_finite(params, vocab):
     # empty text: the full view still has demographics, so nothing is NaN
     doc = Document(id="d", text="", age=30, gender="M")
-    scores, trace = forward(randomized(params, 23), doc, vocab, max_len=4)
+    scores = forward(randomized(params, 23), doc, vocab, max_len=4)
     for z in (scores.z_k, scores.z_d, scores.z_e, scores.z_f):
         assert np.all(np.isfinite(z))

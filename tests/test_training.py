@@ -100,7 +100,7 @@ def test_loss_alpha_beta_zero_is_knowledge_only(tiny_world):
     cfg = TrainConfig(alpha=0.0, beta=0.0)
     got = total_loss(batch, params, cfg, vocab, labels, max_len=8)
     # recompute the knowledge term through the per-document reference path
-    zk = np.stack([forward(params, d, vocab, 8)[0].z_k for d in batch])
+    zk = np.stack([forward(params, d, vocab, 8).z_k for d in batch])
     y = np.stack([labels.multi_hot(d.codes) for d in batch])
     p = sigmoid(zk)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -311,8 +311,8 @@ def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
     assert ckpt.config == {"alpha": 0.5}
     # forward through loaded params matches forward through cast params exactly
     for doc in docs[:3]:
-        want, _ = forward(cast, doc, vocab, 8)
-        got, _ = forward(ckpt.params, doc, vocab, 8)
+        want = forward(cast, doc, vocab, 8)
+        got = forward(ckpt.params, doc, vocab, 8)
         np.testing.assert_array_equal(got.z_f, want.z_f)
 
 
