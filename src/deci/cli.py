@@ -239,7 +239,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
         vocab.size, len(label_space),
         embed_dim=mcfg.embed_dim, hidden_dim=mcfg.hidden_dim,
         n_experts=mcfg.n_experts, seed=cfg["seed"],
-        gate_per_label=mcfg.gate_per_label,
     )
     best, log = train(train_docs, dev_docs, params, vocab, label_space, cfg.train_config(),
                       max_len=mcfg.max_len)

@@ -32,12 +32,11 @@ class ModelConfig:
     hidden_dim: int = 100
     n_experts: int = 4
     max_len: int = 16
-    gate_per_label: bool = True
 
 
 @dataclass
 class ModelParams:
-    """All trainable arrays. gate_per_label selects per-label vs pooled gating."""
+    """All trainable arrays."""
 
     embedding: np.ndarray      # (vocab, d_e)
     enc_proj: np.ndarray       # (d_e, d_h)
@@ -47,7 +46,6 @@ class ModelParams:
     expert_b: np.ndarray       # (n_experts, n_labels)
     gate_w: np.ndarray         # (d_h, n_experts)
     gate_bias: np.ndarray      # (n_experts,)
-    gate_per_label: bool = True
 
     @property
     def vocab_size(self) -> int:
@@ -83,10 +81,7 @@ class ModelParams:
         }
 
     def with_arrays(self, arrays: dict) -> "ModelParams":
-        return ModelParams(
-            **{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()},
-            gate_per_label=self.gate_per_label,
-        )
+        return ModelParams(**{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
 
     def copy(self) -> "ModelParams":
         return self.with_arrays({k: v.copy() for k, v in self.named_arrays().items()})
@@ -99,7 +94,6 @@ def init_params(
     hidden_dim: int = ModelConfig.hidden_dim,
     n_experts: int = ModelConfig.n_experts,
     seed: int = 0,
-    gate_per_label: bool = ModelConfig.gate_per_label,
 ) -> ModelParams:
     """Fresh parameters: uniform(-0.1, 0.1) embeddings, scaled-uniform
     projections, zero biases and zero gate weights.
@@ -122,7 +116,6 @@ def init_params(
         expert_b=np.zeros((n_experts, n_labels)),
         gate_w=np.zeros((hidden_dim, n_experts)),
         gate_bias=np.zeros(n_experts),
-        gate_per_label=gate_per_label,
     )
 
 
@@ -186,16 +179,8 @@ def expert_scores(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
 
 
 def gate_weights(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
-    """Softmax gate over experts, one distribution per label.
-
-    With gate_per_label=False the gate is computed once from the label-mean
-    representation and shared across labels.
-    """
-    if params.gate_per_label:
-        logits = label_repr @ params.gate_w + params.gate_bias  # (L, F)
-    else:
-        pooled = label_repr.mean(axis=0) @ params.gate_w + params.gate_bias  # (F,)
-        logits = np.broadcast_to(pooled, (label_repr.shape[0], pooled.shape[0]))
+    """Softmax gate over experts, one distribution per label."""
+    logits = label_repr @ params.gate_w + params.gate_bias  # (L, F)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -291,11 +276,7 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     label_repr = np.einsum("bln,bnd->bld", att, encoded)
 
     scores = np.einsum("fld,bld->bfl", params.expert_w, label_repr) + params.expert_b[None]
-    if params.gate_per_label:
-        gate = _softmax_last(np.einsum("bld,df->blf", label_repr, params.gate_w) + params.gate_bias)
-    else:
-        pooled = label_repr.mean(axis=1) @ params.gate_w + params.gate_bias  # (B, F)
-        gate = np.broadcast_to(_softmax_last(pooled)[:, None, :], (B, L, F)).copy()
+    gate = _softmax_last(np.einsum("bld,df->blf", label_repr, params.gate_w) + params.gate_bias)
     gated = np.einsum("blf,bfl->bl", gate, scores)
     uniform = np.einsum("blf,bfl->bl", np.full((B, L, F), 1.0 / F), scores)
     return BatchBranch(
@@ -314,14 +295,11 @@ def backward_batch(
     d_gated: np.ndarray,
     d_uniform: np.ndarray,
     grads: dict[str, np.ndarray],
-    heads_only: bool = False,
 ) -> None:
     """Accumulate parameter gradients for one branch into grads.
 
     d_gated and d_uniform are (B, L) gradients of the loss with respect to
-    this branch's gated and uniform mixtures. With heads_only=True the
-    expert and gate gradients are kept but nothing flows back into the
-    attention, projection, or embedding arrays.
+    this branch's gated and uniform mixtures.
     """
     F = params.n_experts
     S, G, H = br.expert_scores, br.gate, br.label_repr
@@ -331,22 +309,11 @@ def backward_batch(
     grads["expert_b"] += dS.sum(axis=0)
     dH = np.einsum("bfl,fld->bld", dS, params.expert_w)
 
-    if params.gate_per_label:
-        dG = np.einsum("bl,bfl->blf", d_gated, S)
-        dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
-        grads["gate_w"] += np.einsum("bld,blf->df", H, dglog)
-        grads["gate_bias"] += dglog.sum(axis=(0, 1))
-        dH += np.einsum("blf,df->bld", dglog, params.gate_w)
-    else:
-        gate_doc = G[:, 0, :]  # identical rows by construction
-        dG_doc = np.einsum("bl,bfl->bf", d_gated, S)
-        dglog = gate_doc * (dG_doc - (gate_doc * dG_doc).sum(axis=-1, keepdims=True))
-        grads["gate_w"] += np.einsum("bd,bf->df", H.mean(axis=1), dglog)
-        grads["gate_bias"] += dglog.sum(axis=0)
-        dH += np.einsum("bf,df->bd", dglog, params.gate_w)[:, None, :] / H.shape[1]
-
-    if heads_only:
-        return
+    dG = np.einsum("bl,bfl->blf", d_gated, S)
+    dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
+    grads["gate_w"] += np.einsum("bld,blf->df", H, dglog)
+    grads["gate_bias"] += dglog.sum(axis=(0, 1))
+    dH += np.einsum("blf,df->bld", dglog, params.gate_w)
 
     A, E = br.attention, br.encoded
     dA = np.einsum("bld,bnd->bln", dH, E)
@@ -364,11 +331,14 @@ def backward_batch(
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack FULL and DEMOGRAPHIC_ONLY id rows; trailing all-PAD columns dropped."""
+    """Stack FULL and DEMOGRAPHIC_ONLY id rows; trailing all-PAD columns dropped.
+
+    A FULL row starts with the two demographic ids, which are the whole
+    DEMOGRAPHIC_ONLY view, so that view is the first two columns.
+    """
     full = np.stack([build_model_input(d, vocab, max_len, InputMode.FULL) for d in docs])
-    demo = np.stack([build_model_input(d, vocab, max_len, InputMode.DEMOGRAPHIC_ONLY) for d in docs])
-    keep = max(1, int((full != PAD_ID).sum(axis=1).max()))
-    return full[:, :keep], demo[:, :2]
+    keep = int((full != PAD_ID).sum(axis=1).max())
+    return full[:, :keep], full[:, :2].copy()
 
 
 def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_size: int = 256):

@@ -38,10 +38,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     grad_clip_norm: float | None = 5.0
-    # When True, the demographic and uniform-expert losses update only the
-    # expert/gate arrays; the shared encoder is trained by the knowledge
-    # loss alone. Off by default: the faithful objective lets everything flow.
-    stop_bias_encoder_grad: bool = False
 
     def validate(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -93,13 +89,9 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     if not want_grads:
         return total, parts, None
     grads = M.zero_grads(params)
-    zeros = np.zeros_like(gk)
-    stop = cfg.stop_bias_encoder_grad
-    M.backward_batch(params, full, gk, zeros if stop else cfg.beta * ge, grads)
-    if stop:
-        M.backward_batch(params, full, zeros, cfg.beta * ge, grads, heads_only=True)
+    M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:
-        M.backward_batch(params, demo, cfg.alpha * gd, zeros, grads, heads_only=stop)
+        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads)
     return total, parts, grads
 
 
@@ -226,7 +218,9 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
 # Checkpoint format: b"DECI", u32 version, five u32 dims (vocab, d_e, d_h,
 # n_labels, n_experts), the parameter arrays row-major little-endian float32
 # in named_arrays() order, then a u32-length-prefixed UTF-8 JSON blob with the
-# vocabulary, label space, max_len, gating mode, and a config echo.
+# vocabulary, label space, max_len, a config echo, and "gate_per_label": true.
+# That last field is constant: the gate is always per label, and a checkpoint
+# that says otherwise is refused.
 # ---------------------------------------------------------------------------
 
 
@@ -259,7 +253,7 @@ def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space:
         "vocabulary": vocab.to_list(),
         "labels": list(label_space.labels),
         "max_len": int(max_len),
-        "gate_per_label": bool(params.gate_per_label),
+        "gate_per_label": True,
         "config": config or {},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -321,13 +315,26 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable metadata blob: {exc}") from None
-    for key in ("vocabulary", "labels", "max_len", "gate_per_label"):
-        if key not in meta:
-            raise FormatError(f"metadata missing key {key!r}")
+    _check_metadata(meta)
     vocab = Vocabulary.from_list(meta["vocabulary"])
     label_space = LabelSpace(meta["labels"])
     if vocab.size != dims[0] or len(label_space) != dims[3]:
         raise FormatError("metadata vocabulary/label sizes disagree with header dimensions")
-    params = M.ModelParams(**arrays, gate_per_label=bool(meta["gate_per_label"]))
-    return Checkpoint(params=params, vocab=vocab, label_space=label_space,
-                      max_len=int(meta["max_len"]), config=meta.get("config", {}))
+    return Checkpoint(params=M.ModelParams(**arrays), vocab=vocab, label_space=label_space,
+                      max_len=meta["max_len"], config=meta.get("config", {}))
+
+
+def _check_metadata(meta) -> None:
+    if not isinstance(meta, dict):
+        raise FormatError("metadata blob is not a JSON object")
+    for key in ("vocabulary", "labels", "max_len", "gate_per_label"):
+        if key not in meta:
+            raise FormatError(f"metadata missing key {key!r}")
+    for key in ("vocabulary", "labels"):
+        if not isinstance(meta[key], list) or not all(isinstance(t, str) for t in meta[key]):
+            raise FormatError(f"metadata {key!r} must be a list of strings")
+    max_len = meta["max_len"]
+    if not isinstance(max_len, int) or isinstance(max_len, bool) or max_len < 2:
+        raise FormatError(f"metadata 'max_len' must be an integer of at least 2, got {max_len!r}")
+    if meta["gate_per_label"] is not True:
+        raise FormatError("metadata 'gate_per_label' must be true: pooled gating is not supported")

@@ -249,13 +249,13 @@ def test_defaults_keep_their_keys_order_and_values():
         ("data.confound_attribute", "age>=65"), ("data.p_conf_train", 0.9),
         ("data.p_conf_test", 0.5), ("data.noise_rate", 0.9), ("data.label_skew", 1.25),
         ("model.embed_dim", 100), ("model.hidden_dim", 100), ("model.n_experts", 4),
-        ("model.max_len", 16), ("model.gate_per_label", True),
+        ("model.max_len", 16),
         ("train.alpha", 0.5), ("train.beta", 0.5), ("train.lr", 1e-3), ("train.epochs", 6),
         ("train.batch_size", 32), ("train.adam_beta1", 0.9), ("train.adam_beta2", 0.999),
         ("train.adam_eps", 1e-8), ("train.grad_clip_norm", 5.0),
-        ("train.stop_bias_encoder_grad", False),
         ("run.dir", "run"), ("eval.mode", "deci"), ("eval.ks", [5]),
     ]
+    assert len(expected) == 31
     assert list(DEFAULTS.items()) == expected
     # the type of a default decides how its flag is parsed
     assert [type(v) for v in DEFAULTS.values()] == [type(v) for _, v in expected]
@@ -269,6 +269,19 @@ def test_config_file_errors(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
     bad.write_text(json.dumps(["not", "an", "object"]))
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("key", ["model.gate_per_label", "train.stop_bias_encoder_grad"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
+    # the model has one gate and one objective: no flag or config file may
+    # ask for the pooled gate or the encoder gradient stop
+    assert main(["train", f"--{key}", "true", "--out", str(tmp_path / "r")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: True}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_optional_clip_norm_accepts_none(tmp_path):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deci import evaluation
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
-from deci.errors import DimensionError, EvaluationError
+from deci.errors import ConfigError, DimensionError, EvaluationError
 from deci.evaluation import (
     InferenceMode,
     evaluate,
@@ -288,6 +289,18 @@ def test_run_ablation_covers_all_modes(eval_world):
     solo = evaluate(docs, params, vocab, labels, max_len=10,
                     confounded_label="C000", mode=InferenceMode.NAIVE)
     assert solo.to_dict() == table["naive"].to_dict()
+
+
+@pytest.mark.parametrize("ks", [(0,), (1, 7)])
+def test_run_ablation_rejects_out_of_range_k_before_scoring(eval_world, monkeypatch, ks):
+    docs, params, vocab, labels = eval_world
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("documents were scored before k was checked")
+
+    monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
+    with pytest.raises(ConfigError, match=r"k must be in \[1, 6\]"):
+        run_ablation(docs, params, vocab, labels, ks=ks, max_len=10)
 
 
 def test_run_ablation_modes_subset(eval_world):

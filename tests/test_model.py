@@ -178,14 +178,6 @@ def test_gate_single_expert_is_trivial(vocab):
     np.testing.assert_array_equal(gate, np.ones((5, 1)))
 
 
-def test_gate_pooled_mode_shares_one_distribution(vocab):
-    p = randomized(init_params(vocab.size, 5, embed_dim=7, hidden_dim=6, n_experts=3, gate_per_label=False, seed=0), 11)
-    gate = gate_weights(p, np.random.default_rng(12).normal(size=(5, 6)))
-    for row in gate[1:]:
-        np.testing.assert_array_equal(row, gate[0])
-    np.testing.assert_allclose(gate.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_zk_equals_ze_under_uniform_gate(params):
     # gate weights are zero at init, so the gated mixture IS the uniform one
     H = np.random.default_rng(13).normal(size=(5, 6))
