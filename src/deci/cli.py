@@ -3,9 +3,10 @@
 Configuration is a flat map of dotted keys. Values come from built-in
 defaults, then an optional JSON config file, then CLI flags; later sources
 win. The defaults are the fields of SyntheticConfig ("data.*"), ModelConfig
-("model.*") and TrainConfig ("train.*"). Every key has a flag of the same
-name (--data.n_labels 30), and the common knobs have short aliases (--alpha,
---lr, ...).
+("model.*") and TrainConfig ("train.*"), and they are the only list of keys.
+After the command, every key is a flag of its exact name, as
+"--data.n_labels 30" or "--data.n_labels=30"; train also takes --alpha,
+--beta, --epochs and --lr, and eval takes --mode.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or file
 format error, 3 numerical failure.
@@ -16,7 +17,6 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .errors import (
 )
 from .evaluation import InferenceMode, final_scores_from_z, run_ablation
 from .model import ModelConfig, init_params, pathway_scores_batch
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import (
+    TrainConfig, dev_metrics, load_checkpoint, save_checkpoint, selected_epoch, train,
+)
 
 # Each dataclass field is the config key "<section>.<field>", except the seed
 # that the corpus and the trainer share, which is the one key "seed", and
@@ -54,32 +56,18 @@ def _defaults() -> dict:
 
 DEFAULTS = _defaults()
 
-# Keys where JSON null / "none" is a legal value: fields annotated "... | None".
-_OPTIONAL_KEYS = {
-    keys[name] for cls, keys in _FIELD_KEYS.items()
-    for name, hint in get_type_hints(cls).items() if type(None) in get_args(hint)
+# Short flags for config keys, each accepted only after its own command.
+_ALIASES = {
+    "train": {"--alpha": "train.alpha", "--beta": "train.beta",
+              "--epochs": "train.epochs", "--lr": "train.lr"},
+    "eval": {"--mode": "eval.mode"},
 }
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _coerce(key: str, raw):
     """Check raw against the default's type; strings are parsed."""
-    if raw is None or (isinstance(raw, str) and raw.strip().lower() == "none"):
-        if key in _OPTIONAL_KEYS:
-            return None
-        raise ConfigError(f"{key} must not be null")
     default = DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            return raw if isinstance(raw, bool) else _parse_bool(str(raw))
         if isinstance(default, int):
             if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
                 raise ValueError
@@ -146,59 +134,50 @@ class RunConfig:
         return self._dataclass(TrainConfig)
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage problems exit 1; argparse's default of 2 is reserved for data errors.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
+def _split_config_flags(argv: list[str]) -> tuple[dict, list[str]]:
+    """Take the config flags that follow the command out of argv.
 
-
-_ALIASES = {
-    "train.alpha": "--alpha",
-    "train.beta": "--beta",
-    "train.epochs": "--epochs",
-    "train.lr": "--lr",
-    "eval.mode": "--mode",
-}
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, aliases: tuple[str, ...] = ()) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON file of dotted config keys")
-    parser.add_argument("--out", metavar="PATH", help="output directory or file")
-    for key in DEFAULTS:
-        flags = [f"--{key}"]
-        if key in _ALIASES and key in aliases:
-            flags.append(_ALIASES[key])
-        parser.add_argument(*flags, dest=key, default=None, metavar="V", help=argparse.SUPPRESS)
+    Returns ({key: raw value}, the remaining arguments). Flags are read in
+    order, so the last one for a key wins. Arguments before the command and
+    after "--" are left to argparse, which rejects an unknown flag.
+    """
+    if not argv or argv[0].startswith("-"):
+        return {}, argv
+    flags = {f"--{key}": key for key in DEFAULTS} | _ALIASES.get(argv[0], {})
+    overrides, rest = {}, argv[:1]
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            rest += [arg, *args]
+            break
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            rest.append(arg)
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"argument {flag}: expected one argument")
+        overrides[flags[flag]] = value
+    return overrides, rest
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="deci", description="Counterfactually debiased multi-label classifier")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("gen-data", help="generate the synthetic confounded corpus")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a model on generated data")
-    _add_config_flags(p, aliases=("train.alpha", "train.beta", "train.epochs", "train.lr"))
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    _add_config_flags(p, aliases=("eval.mode",))
-    p.add_argument("--ablate", action="store_true", help="report every inference mode")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="score documents from a JSONL file")
-    _add_config_flags(p)
-    p.add_argument("input", help="JSONL file of documents to score")
-    p.set_defaults(func=cmd_predict)
+    parser = argparse.ArgumentParser(prog="deci", description="Counterfactually debiased multi-label classifier")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, help_text in (
+        ("gen-data", cmd_gen_data, "generate the synthetic confounded corpus"),
+        ("train", cmd_train, "train a model on generated data"),
+        ("eval", cmd_eval, "evaluate a checkpoint on the test split"),
+        ("predict", cmd_predict, "score documents from a JSONL file"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="JSON file of dotted config keys")
+        p.add_argument("--out", metavar="PATH", help="output directory or file")
+        p.set_defaults(func=func)
+    sub.choices["eval"].add_argument("--ablate", action="store_true", help="report every inference mode")
+    sub.choices["predict"].add_argument("input", help="JSONL file of documents to score")
     return parser
-
-
-def _overrides(args) -> dict:
-    return {key: getattr(args, key) for key in DEFAULTS if getattr(args, key, None) is not None}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -248,9 +227,12 @@ def cmd_train(cfg: RunConfig, args) -> int:
             fh.write(json.dumps(record) + "\n")
     save_checkpoint(out_dir / "checkpoint.deci", best, vocab, label_space,
                     max_len=mcfg.max_len, config=cfg.echo())
-    _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo()})
-    final_dev = log[-1]["dev_metrics"]
-    print(json.dumps({"final_dev_metrics": final_dev, "epochs": len(log)}))
+    # report the model the checkpoint holds: the selected epoch, cast to float32
+    saved = best.with_arrays({k: a.astype(np.float32) for k, a in best.named_arrays().items()})
+    final_dev = dev_metrics(dev_docs, saved, vocab, label_space, mcfg.max_len) if dev_docs else None
+    summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
+    _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo(), **summary})
+    print(json.dumps({**summary, "epochs": len(log)}))
     return 0
 
 
@@ -329,13 +311,14 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = RunConfig.build(args.config, _overrides(args))
+        overrides, rest = _split_config_flags(argv)
+        try:
+            args = build_parser().parse_args(rest)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            return 1 if exc.code else 0
+        cfg = RunConfig.build(args.config, overrides)
         return args.func(cfg, args)
     except (ConfigError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

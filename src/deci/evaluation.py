@@ -93,9 +93,10 @@ def roc_auc(scores, labels) -> float | None:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _f1(tp: float, fp: float, fn: float) -> float:
+def _f1(tp, fp, fn) -> np.ndarray:
+    """2TP / (2TP + FP + FN) elementwise, and 0 where the denominator is 0."""
     denom = 2.0 * tp + fp + fn
-    return 0.0 if denom == 0.0 else 2.0 * tp / denom
+    return np.divide(2.0 * tp, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
 def f1_scores(pred, gold):
@@ -112,9 +113,9 @@ def f1_scores(pred, gold):
     tp = (pred & gold).sum(axis=0).astype(np.float64)
     fp = (pred & ~gold).sum(axis=0).astype(np.float64)
     fn = (~pred & gold).sum(axis=0).astype(np.float64)
-    per_label = np.array([_f1(tp[i], fp[i], fn[i]) for i in range(pred.shape[1])])
+    per_label = _f1(tp, fp, fn)
     macro = float(per_label.mean()) if per_label.size else 0.0
-    micro = _f1(tp.sum(), fp.sum(), fn.sum())
+    micro = float(_f1(tp.sum(), fp.sum(), fn.sum()))
     return macro, micro, per_label
 
 

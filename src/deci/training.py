@@ -37,7 +37,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    grad_clip_norm: float | None = 5.0
+    grad_clip_norm: float = 5.0  # inf disables clipping
 
     def validate(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -53,8 +53,8 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ConfigError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
+        if self.grad_clip_norm <= 0:
+            raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
 
 
 def _bce_and_grad(z: np.ndarray, y: np.ndarray):
@@ -109,13 +109,13 @@ def loss_and_grads(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabul
     return loss, grads
 
 
-def clip_gradients(grads: dict, max_norm: float | None) -> float:
+def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale grads in place to a global L2 norm of max_norm; returns the raw norm."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if max_norm is not None and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
@@ -151,7 +151,8 @@ def adam_step(params: M.ModelParams, grads: dict, state: AdamState, cfg: TrainCo
         arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
-def _dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
+def dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
+    """Micro/macro F1 and micro AUC of the debiased scores on a labeled split."""
     zk, zd, ze = M.pathway_scores_batch(params, dev_docs, vocab, max_len)
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
     gold = _targets(dev_docs, label_space)
@@ -164,12 +165,12 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
           label_space: LabelSpace, cfg: TrainConfig, max_len: int = M.DEFAULT_MAX_LEN):
     """Mini-batch Adam over the joint objective.
 
-    Returns (best_params, epoch_log). best_params are the parameters with the
-    highest dev micro-F1 of thresholded debiased predictions; with no dev
-    documents the final parameters are returned. The epoch log has one record
-    per epoch: {"epoch", "train_loss", "loss_k", "loss_d", "loss_e",
-    "dev_metrics"}. Fixed cfg.seed fixes the shuffle order, so runs are
-    bit-for-bit reproducible.
+    Returns (best_params, epoch_log). best_params are the parameters after
+    epoch selected_epoch(epoch_log): the first with the highest dev micro-F1
+    of thresholded debiased predictions, or the last with no dev documents.
+    The epoch log has one record per epoch: {"epoch", "train_loss",
+    "loss_k", "loss_d", "loss_e", "dev_metrics"}. Fixed cfg.seed fixes the
+    shuffle order, so runs are bit-for-bit reproducible.
     """
     cfg.validate()
     if not train_docs:
@@ -177,8 +178,6 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
     params = params.copy()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
-    best_params = params.copy()
-    best_f1 = -1.0
     log = []
     n = len(train_docs)
     for epoch in range(1, cfg.epochs + 1):
@@ -204,14 +203,19 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
             "dev_metrics": None,
         }
         if dev_docs:
-            record["dev_metrics"] = _dev_metrics(dev_docs, params, vocab, label_space, max_len)
-            if record["dev_metrics"]["micro_f1"] > best_f1:
-                best_f1 = record["dev_metrics"]["micro_f1"]
-                best_params = params.copy()
+            record["dev_metrics"] = dev_metrics(dev_docs, params, vocab, label_space, max_len)
         log.append(record)
-    if not dev_docs:
-        best_params = params
+        if selected_epoch(log) == epoch:
+            best_params = params.copy()
     return best_params, log
+
+
+def selected_epoch(log) -> int:
+    """The epoch whose parameters train() returns with this log: the first
+    with the highest dev micro-F1, or the last when there was no dev split."""
+    if log[-1]["dev_metrics"] is None:
+        return log[-1]["epoch"]
+    return max(log, key=lambda r: r["dev_metrics"]["micro_f1"])["epoch"]
 
 
 # ---------------------------------------------------------------------------

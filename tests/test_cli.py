@@ -10,10 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deci
+from deci import training
 from deci.cli import DEFAULTS, main
+from deci.corpus import load_jsonl
+from deci.training import load_checkpoint
 
 SRC_DIR = str(Path(deci.__file__).resolve().parent.parent)
 
@@ -76,6 +80,53 @@ def test_train_outputs(pipeline):
     records = [json.loads(ln) for ln in open(run / "epochs.jsonl")]
     assert [r["epoch"] for r in records] == [1, 2]
     assert all(r["dev_metrics"] is not None for r in records)
+
+
+def test_train_reports_the_saved_epoch(pipeline, tmp_path, monkeypatch, capsys):
+    # dev micro-F1 is made to peak at epoch 1 of 3, so the checkpoint holds
+    # epoch 1, and train reports that epoch's dev metrics on the saved float32
+    # parameters rather than the last epoch's
+    data, _ = pipeline
+    real = training.dev_metrics
+    calls = []
+
+    def peaks_first(*args):
+        calls.append(None)
+        return {**real(*args), "micro_f1": 1.0 / len(calls)}
+
+    monkeypatch.setattr(training, "dev_metrics", peaks_first)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *TINY, "--epochs", "3", "--data.dir", str(data),
+                 "--run.dir", str(run)]) == 0
+    assert len(calls) == 3
+    summary = json.loads(capsys.readouterr().out)
+    ckpt = load_checkpoint(run / "checkpoint.deci")
+    dev = load_jsonl(data / "dev.jsonl", ckpt.label_space)
+    expected = real(dev, ckpt.params, ckpt.vocab, ckpt.label_space, ckpt.max_len)
+    assert summary == {"final_dev_metrics": expected, "selected_epoch": 1, "epochs": 3}
+    manifest = json.loads((run / "train_manifest.json").read_text())
+    assert manifest["selected_epoch"] == 1
+    assert manifest["final_dev_metrics"] == expected
+    # a one-epoch run saves the same arrays
+    monkeypatch.undo()
+    one = tmp_path / "one"
+    assert main(["train", *TINY, "--epochs", "1", "--data.dir", str(data),
+                 "--run.dir", str(one)]) == 0
+    for name, arr in load_checkpoint(one / "checkpoint.deci").params.named_arrays().items():
+        np.testing.assert_array_equal(arr, ckpt.params.named_arrays()[name])
+
+
+def test_train_aliases_and_keys_resolve_in_order(pipeline, tmp_path, capsys):
+    data, _ = pipeline
+    run = tmp_path / "run"
+    assert main(["train", *TINY, "--train.alpha", "0.9", "--alpha", "0.25", "--beta=0.75",
+                 "--train.epochs=1", "--data.dir", str(data), "--run.dir", str(run)]) == 0
+    config = json.loads((run / "train_manifest.json").read_text())["config"]
+    assert (config["train.alpha"], config["train.beta"], config["train.epochs"]) == (0.25, 0.75, 1)
+    # the manifest echoes every key in the order of DEFAULTS
+    assert list(config) == list(DEFAULTS)
+    assert json.loads(capsys.readouterr().out)["epochs"] == 1
 
 
 def test_eval_single_mode(pipeline, capsys):
@@ -156,7 +207,11 @@ def test_eval_rejects_label_space_mismatch(pipeline, tmp_path):
 def test_predict_scores_every_document(pipeline, capsys):
     data, run = pipeline
     assert main(["predict", "--run.dir", str(run), str(data / "test.jsonl")]) == 0
-    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    out = capsys.readouterr().out
+    # the input may also come first, and the key may take its value after "="
+    assert main(["predict", str(data / "test.jsonl"), f"--run.dir={run}"]) == 0
+    assert capsys.readouterr().out == out
+    lines = [json.loads(ln) for ln in out.splitlines()]
     assert len(lines) == 30
     labels = set((data / "labels.txt").read_text().split())
     for line in lines:
@@ -213,7 +268,27 @@ def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["gen-data", "--no-such-flag", "1"]) == 1
     assert main([]) == 1
+    # config flags follow the command
+    assert main(["--seed", "1", "gen-data"]) == 1
+    # aliases belong to one command each
+    assert main(["train", "--mode", "deci"]) == 1
+    assert main(["eval", "--alpha", "0.3"]) == 1
+    # keys are exact names, not prefixes
+    assert main(["gen-data", "--data.n_lab", "6"]) == 1
+    # after "--" nothing is a flag
+    assert main(["gen-data", "--", "--seed", "1"]) == 1
     capsys.readouterr()
+    assert main(["gen-data", "--seed"]) == 1
+    assert capsys.readouterr().err == "error: argument --seed: expected one argument\n"
+    assert main(["gen-data", "--data.dir", "--out", "x"]) == 1
+    assert capsys.readouterr().err == "error: argument --data.dir: expected one argument\n"
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "{gen-data,train,eval,predict}" in capsys.readouterr().out
+    assert main(["train", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: deci train [-h] [--config PATH] [--out PATH]\n")
 
 
 def test_bad_flag_value_exits_one(tmp_path):
@@ -232,9 +307,10 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
                  "--out", str(out)]) == 1  # --alpha is a train alias, not global
     capsys.readouterr()
     assert main(["gen-data", "--config", str(cfg_path), "--train.alpha", "0.3",
-                 "--out", str(out)]) == 0
+                 "--data.doc_len=9", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["train.alpha"] == 0.3  # flag beats file
+    assert manifest["config"]["data.doc_len"] == 9  # so does a --key=value flag
     assert manifest["config"]["data.n_labels"] == 6  # file beats default
     assert manifest["config"]["train.beta"] == DEFAULTS["train.beta"]
 
@@ -284,16 +360,23 @@ def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
     assert not (tmp_path / "r").exists()
 
 
-def test_optional_clip_norm_accepts_none(tmp_path):
+def test_clip_norm_accepts_inf_not_null(tmp_path):
+    # inf disables clipping; no key takes null
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"train.grad_clip_norm": None, "data.n_labels": 6,
+    cfg_path.write_text(json.dumps({"train.grad_clip_norm": "inf", "data.n_labels": 6,
                                     "data.vocab_size": 80, "data.n_train": 20,
                                     "data.n_dev": 0, "data.n_test": 0,
                                     "data.doc_len": 8}))
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
-    # but a required key cannot be nulled
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["config"]["train.grad_clip_norm"] == float("inf")
+    for value in (None, "none"):
+        cfg_path.write_text(json.dumps({"train.grad_clip_norm": value}))
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d2")]) == 1
+    assert main(["gen-data", "--train.grad_clip_norm", "null", "--out", str(tmp_path / "d2")]) == 1
     cfg_path.write_text(json.dumps({"train.alpha": None}))
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d2")]) == 1
+    assert not (tmp_path / "d2").exists()
 
 
 def test_eval_ks_parse_from_flag(pipeline, capsys):

@@ -34,6 +34,7 @@ from deci.training import (
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
+    selected_epoch,
     total_loss,
     train,
 )
@@ -163,9 +164,9 @@ def test_clip_gradients():
     before = grads["a"].copy()
     assert clip_gradients(grads, 1.0) == pytest.approx(0.3)
     np.testing.assert_array_equal(grads["a"], before)
-    # None disables clipping
+    # inf disables clipping
     grads = {"a": np.array([100.0])}
-    clip_gradients(grads, None)
+    clip_gradients(grads, math.inf)
     assert grads["a"][0] == 100.0
 
 
@@ -230,6 +231,11 @@ def test_train_keeps_best_dev_params(tiny_world):
     gold = np.stack([labels.multi_hot(d.codes) for d in dev])
     _, micro, _ = f1_scores(scores >= 0.5, gold)
     assert micro == pytest.approx(max(r["dev_metrics"]["micro_f1"] for r in log), abs=1e-12)
+    assert log[selected_epoch(log) - 1]["dev_metrics"]["micro_f1"] == max(
+        r["dev_metrics"]["micro_f1"] for r in log)
+    # ties go to the earliest epoch
+    tied = [{"epoch": e, "dev_metrics": {"micro_f1": f}} for e, f in ((1, 0.2), (2, 0.5), (3, 0.5))]
+    assert selected_epoch(tied) == 2
 
 
 def test_train_without_dev_returns_final_params(tiny_world):
@@ -237,6 +243,7 @@ def test_train_without_dev_returns_final_params(tiny_world):
     cfg = TrainConfig(epochs=2, seed=0)
     out, log = train(docs, [], params := tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     assert all(rec["dev_metrics"] is None for rec in log)
+    assert selected_epoch(log) == 2
     assert (out.embedding != params.embedding).any()
 
 
