@@ -10,7 +10,6 @@ the note text rather than who the patient is.
 
 from .corpus import (
     Document,
-    InputMode,
     LabelSpace,
     SyntheticConfig,
     Vocabulary,
@@ -45,16 +44,9 @@ from .evaluation import (
 from .model import (
     ModelConfig,
     ModelParams,
-    PathwayScores,
-    encode,
-    expert_scores,
-    forward,
-    gate_weights,
+    forward_batch,
     init_params,
-    label_attention,
-    pathway_zd,
-    pathway_ze,
-    pathway_zk,
+    pathway_scores_batch,
 )
 from .numerics import (
     GradCheckReport,

@@ -14,6 +14,7 @@ format error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -119,7 +120,10 @@ class RunConfig:
         return cls(values)
 
     def echo(self) -> dict:
-        return dict(self._values)
+        """The values as strict JSON: a non-finite float is written as its
+        string ("inf"), which _coerce reads back, so an echo is a config file."""
+        return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in self._values.items()}
 
     def _dataclass(self, cls):
         return cls(**{name: self._values[key] for name, key in _FIELD_KEYS[cls].items()})

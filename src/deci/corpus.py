@@ -10,7 +10,6 @@ import json
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, asdict
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -145,21 +144,9 @@ class Vocabulary:
         return cls(tokens[len(RESERVED_TOKENS):])
 
 
-class InputMode(Enum):
-    FULL = "full"
-    DEMOGRAPHIC_ONLY = "demographic_only"
-
-
-def tokenize(text: str, vocab: Vocabulary, max_len: int | None = None) -> list[int]:
-    """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary.
-
-    With max_len set, the sequence is truncated or PAD-extended to that length.
-    """
-    ids = [vocab.id(t) for t in _WORD_RE.findall(text.lower())]
-    if max_len is not None:
-        ids = ids[:max_len]
-        ids.extend([PAD_ID] * (max_len - len(ids)))
-    return ids
+def tokenize(text: str, vocab: Vocabulary) -> list[int]:
+    """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary."""
+    return [vocab.id(t) for t in _WORD_RE.findall(text.lower())]
 
 
 def age_bucket(age: int) -> str:
@@ -183,22 +170,13 @@ def demographic_tokens(age: int, gender: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id(age_bucket(age)), vocab.id(gender_token)]
 
 
-def build_model_input(doc: Document, vocab: Vocabulary, max_len: int, mode: InputMode) -> np.ndarray:
-    """Token-id row of length max_len for one document.
-
-    FULL prepends the two demographic tokens to the note tokens;
-    DEMOGRAPHIC_ONLY is the two demographic tokens followed by PAD.
-    """
+def build_model_input(doc: Document, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Token-id row of length max_len for one document: the two demographic
+    tokens, then the note tokens, truncated or PAD-extended to the window."""
     demo = demographic_tokens(doc.age, doc.gender, vocab)
     if max_len < len(demo):
         raise ConfigError(f"max_len must be at least {len(demo)}, got {max_len}")
-    if mode is InputMode.FULL:
-        ids = demo + tokenize(doc.text, vocab)
-    elif mode is InputMode.DEMOGRAPHIC_ONLY:
-        ids = demo
-    else:
-        raise ValueError(f"unknown input mode {mode!r}")
-    ids = ids[:max_len]
+    ids = (demo + tokenize(doc.text, vocab))[:max_len]
     ids = ids + [PAD_ID] * (max_len - len(ids))
     return np.asarray(ids, dtype=np.int64)
 
@@ -260,7 +238,7 @@ class SyntheticConfig:
             raise ConfigError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
         if not 0 <= self.confounded_label < self.n_labels:
             raise ConfigError(f"confounded_label must index a label, got {self.confounded_label}")
-        if self.label_skew < 0.0:
+        if not self.label_skew >= 0.0:  # also rejects NaN
             raise ConfigError(f"label_skew must be non-negative, got {self.label_skew}")
         confound_predicate(self.confound_attribute)  # raises ConfigError if unparseable
 

@@ -54,6 +54,8 @@ def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
     z_k = np.asarray(z_k, dtype=np.float64)
     z_d = np.asarray(z_d, dtype=np.float64)
     z_e = np.asarray(z_e, dtype=np.float64)
+    if not z_k.shape == z_d.shape == z_e.shape:
+        raise DimensionError("pathway score arrays must share one shape")
     if mode is InferenceMode.DECI:
         return _on_side_of(sigmoid(sigmoid(z_k + z_d + z_e) - sigmoid(z_d + z_e)), z_k)
     if mode is InferenceMode.NAIVE:

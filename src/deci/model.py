@@ -1,22 +1,22 @@
 """Label-attention encoder with a gated expert head, run on two input views.
 
-One forward pass encodes a document twice: the full view (demographic tokens
-prepended to the note) yields the knowledge score z_k and the uniform-expert
-score z_e; the demographic-only view yields z_d through the same parameters.
-The debiased score z_f = sigmoid(z_k + z_d + z_e) - sigmoid(z_d + z_e)
-keeps only what the note text adds on top of the demographic shortcut.
+A document is encoded twice through the same parameters. The full view
+(two demographic tokens prepended to the note) yields the knowledge score
+z_k, the gated expert mixture, and the uniform-expert score z_e. The
+demographic-only view, the first two ids of the full row, yields z_d, its
+gated mixture. evaluation.final_scores_from_z combines the three pathways
+into the debiased score.
 
-All math is float64. The batched pass used for training and the single
-document functions below compute identical values; tests pin them together.
+All math is float64. forward_batch and backward_batch are the one model
+implementation: training, evaluation and prediction all run through them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, InputMode, PAD_ID, Vocabulary, build_model_input
+from .corpus import PAD_ID, Vocabulary, build_model_input
 from .errors import DimensionError
-from .numerics import sigmoid
 
 # Generic input window for real notes. The bundled synthetic experiment runs
 # at a much smaller window (ModelConfig.max_len = 16) so that part of the
@@ -119,120 +119,10 @@ def init_params(
     )
 
 
-@dataclass
-class PathwayScores:
-    """Raw per-label scores of the three pathways plus the debiased z_f."""
-
-    z_k: np.ndarray
-    z_d: np.ndarray
-    z_e: np.ndarray
-    z_f: np.ndarray
-
-    @classmethod
-    def from_pathways(cls, z_k, z_d, z_e) -> "PathwayScores":
-        z_k = np.asarray(z_k, dtype=np.float64)
-        z_d = np.asarray(z_d, dtype=np.float64)
-        z_e = np.asarray(z_e, dtype=np.float64)
-        if not (z_k.shape == z_d.shape == z_e.shape):
-            raise DimensionError("pathway score vectors must share one shape")
-        z_f = sigmoid(z_k + z_d + z_e) - sigmoid(z_d + z_e)
-        return cls(z_k=z_k, z_d=z_d, z_e=z_e, z_f=z_f)
-
-
 def _validate_ids(params: ModelParams, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= params.vocab_size):
         bad = ids[(ids < 0) | (ids >= params.vocab_size)][0]
         raise IndexError(f"token id {int(bad)} outside vocabulary of size {params.vocab_size}")
-
-
-def encode(params: ModelParams, token_ids) -> np.ndarray:
-    """Token ids (N,) -> encoded rows (N, d_h): tanh(embed @ enc_proj + bias).
-
-    PAD rows come out exactly zero and are excluded from attention later.
-    """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    _validate_ids(params, ids)
-    mask = (ids != PAD_ID)[:, None]
-    embedded = params.embedding[ids] * mask
-    return np.tanh(embedded @ params.enc_proj + params.enc_bias) * mask
-
-
-def label_attention(params: ModelParams, encoded: np.ndarray, mask: np.ndarray):
-    """Per-label softmax attention over non-PAD positions.
-
-    Returns (label_repr (n_labels, d_h), attention (n_labels, N), degenerate).
-    An all-PAD input yields zero representations and degenerate=True.
-    """
-    logits = params.label_queries @ encoded.T  # (L, N)
-    if not mask.any():
-        L, N = logits.shape
-        return np.zeros((L, encoded.shape[1])), np.zeros((L, N)), True
-    logits = np.where(mask[None, :], logits, -np.inf)
-    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
-    attn /= attn.sum(axis=1, keepdims=True)
-    return attn @ encoded, attn, False
-
-
-def expert_scores(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
-    """Entry (i, l) = expert_w[i, l] . label_repr[l] + expert_b[i, l]."""
-    return np.einsum("fld,ld->fl", params.expert_w, label_repr) + params.expert_b
-
-
-def gate_weights(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
-    """Softmax gate over experts, one distribution per label."""
-    logits = label_repr @ params.gate_w + params.gate_bias  # (L, F)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _mixture(gate: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    # z_k and z_e share this contraction so that a uniform gate reproduces
-    # the uniform mixture bit for bit.
-    return np.einsum("lf,fl->l", gate, scores)
-
-
-def _uniform_gate(n_labels: int, n_experts: int) -> np.ndarray:
-    return np.full((n_labels, n_experts), 1.0 / n_experts)
-
-
-def pathway_zk(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
-    """Gated mixture of expert scores for the given representation."""
-    return _mixture(gate_weights(params, label_repr), expert_scores(params, label_repr))
-
-
-def pathway_ze(params: ModelParams, label_repr: np.ndarray) -> np.ndarray:
-    """Equal-weight mixture of expert scores for the given representation."""
-    scores = expert_scores(params, label_repr)
-    return _mixture(_uniform_gate(params.n_labels, params.n_experts), scores)
-
-
-def _view_scores(params: ModelParams, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gated, uniform) expert mixtures of one input view of one document."""
-    label_repr, _, _ = label_attention(params, encode(params, ids), ids != PAD_ID)
-    return pathway_zk(params, label_repr), pathway_ze(params, label_repr)
-
-
-def pathway_zd(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """Demographic pathway score: the same head run on the demographic-only view.
-
-    Depends on the document only through its age bucket and gender, so there
-    are exactly eight distinct outputs per parameter set.
-    """
-    return _view_scores(params, build_model_input(doc, vocab, max_len, InputMode.DEMOGRAPHIC_ONLY))[0]
-
-
-def forward(params: ModelParams, doc: Document, vocab: Vocabulary, max_len: int) -> PathwayScores:
-    """Pathway scores of one document: z_k and z_e from the full view, z_d
-    from the demographic-only view."""
-    z_k, z_e = _view_scores(params, build_model_input(doc, vocab, max_len, InputMode.FULL))
-    return PathwayScores.from_pathways(z_k=z_k, z_d=pathway_zd(params, doc, vocab, max_len), z_e=z_e)
-
-
-# ---------------------------------------------------------------------------
-# Batched forward/backward. Training and evaluation go through these; the
-# per-document functions above are the readable reference they are tested
-# against.
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -331,12 +221,12 @@ def backward_batch(
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack FULL and DEMOGRAPHIC_ONLY id rows; trailing all-PAD columns dropped.
+    """Stack full and demographic-only id rows; trailing all-PAD columns dropped.
 
-    A FULL row starts with the two demographic ids, which are the whole
-    DEMOGRAPHIC_ONLY view, so that view is the first two columns.
+    A full row starts with the two demographic ids, which are the whole
+    demographic-only view, so that view is the first two columns.
     """
-    full = np.stack([build_model_input(d, vocab, max_len, InputMode.FULL) for d in docs])
+    full = np.stack([build_model_input(d, vocab, max_len) for d in docs])
     keep = int((full != PAD_ID).sum(axis=1).max())
     return full[:, :keep], full[:, :2].copy()
 

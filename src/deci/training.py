@@ -40,10 +40,11 @@ class TrainConfig:
     grad_clip_norm: float = 5.0  # inf disables clipping
 
     def validate(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        # Each check is written so that NaN fails it.
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ConfigError(f"alpha and beta must be non-negative, got {self.alpha}, {self.beta}")
         # 0 is allowed as a degenerate value so a no-op epoch is expressible.
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
@@ -51,9 +52,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
+        if not self.adam_eps > 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.grad_clip_norm <= 0:
+        if not self.grad_clip_norm > 0:
             raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
 
 

@@ -20,8 +20,8 @@ import pytest
 from deci.cli import RunConfig, main
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
-from deci.model import PathwayScores, init_params, pathway_scores_batch, pathway_ze, pathway_zk
-from deci.numerics import finite_difference_check
+from deci.model import forward_batch, init_params, pathway_scores_batch
+from deci.numerics import finite_difference_check, sigmoid
 from deci.training import TrainConfig, load_checkpoint, save_checkpoint, train, total_loss, loss_and_grads
 
 
@@ -83,20 +83,24 @@ def test_criterion_2_structural_identities():
         L, F, H = int(rng.integers(2, 7)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
         params = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=F, seed=i)
         jitter = {k: v + rng.normal(0, 0.5, v.shape) for k, v in params.named_arrays().items()}
+        # a batch of id rows with PAD tails; the first id of each row is a token
+        ids = rng.integers(1, 10, size=(3, 6))
+        ids[np.arange(6) >= rng.integers(1, 7, size=(3, 1))] = 0
 
         # zero gate logits: gated mixture equals the uniform mixture bitwise
         zero_gate = params.with_arrays(
             {**jitter, "gate_w": np.zeros((H, F)), "gate_bias": np.zeros(F)}
         )
-        repr_ = rng.normal(size=(L, H))
-        np.testing.assert_array_equal(pathway_zk(zero_gate, repr_), pathway_ze(zero_gate, repr_))
+        br = forward_batch(zero_gate, ids)
+        np.testing.assert_array_equal(br.gated, br.uniform)
 
         # a single expert makes the gate irrelevant
         single = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=1, seed=i)
         single = single.with_arrays(
             {k: v + rng.normal(0, 0.5, v.shape) for k, v in single.named_arrays().items()}
         )
-        np.testing.assert_array_equal(pathway_zk(single, repr_), pathway_ze(single, repr_))
+        br = forward_batch(single, ids)
+        np.testing.assert_array_equal(br.gated, br.uniform)
 
         # swapping two experts leaves the uniform mixture bitwise unchanged
         two = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=2, seed=i)
@@ -107,13 +111,14 @@ def test_criterion_2_structural_identities():
             {**two.named_arrays(), "expert_w": two.expert_w[::-1].copy(),
              "expert_b": two.expert_b[::-1].copy()}
         )
-        np.testing.assert_array_equal(pathway_ze(two, repr_), pathway_ze(swapped, repr_))
+        np.testing.assert_array_equal(forward_batch(two, ids).uniform, forward_batch(swapped, ids).uniform)
 
-        # sign and range of the debiased score
+        # sign and range of the debiased score: the subtraction lies in (-1, 1)
+        # and has the sign of z_k, so the deci score is >= 0.5 exactly when z_k is
         zk, zd, ze = rng.uniform(-30, 30, size=3)
-        z_f = float(PathwayScores.from_pathways([zk], [zd], [ze]).z_f[0])
-        assert -1.0 < z_f < 1.0
-        assert np.sign(z_f) == np.sign(zk) or z_f == 0.0
+        score = float(final_scores_from_z([zk], [zd], [ze], InferenceMode.DECI)[0])
+        assert sigmoid(-1.0) < score < sigmoid(1.0)
+        assert (score >= 0.5) == (zk >= 0)
     _line("criterion 2 (structural identities)", True, f"{draws} random draws, all exact")
 
 

@@ -369,7 +369,7 @@ def test_clip_norm_accepts_inf_not_null(tmp_path):
                                     "data.doc_len": 8}))
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    assert manifest["config"]["train.grad_clip_norm"] == float("inf")
+    assert manifest["config"]["train.grad_clip_norm"] == "inf"
     for value in (None, "none"):
         cfg_path.write_text(json.dumps({"train.grad_clip_norm": value}))
         assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d2")]) == 1
@@ -377,6 +377,44 @@ def test_clip_norm_accepts_inf_not_null(tmp_path):
     cfg_path.write_text(json.dumps({"train.alpha": None}))
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d2")]) == 1
     assert not (tmp_path / "d2").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "train.alpha"), ("train", "train.beta"), ("train", "train.lr"),
+    ("train", "train.adam_eps"), ("train", "train.grad_clip_norm"),
+    ("gen-data", "data.label_skew"),
+])
+def test_nan_config_values_exit_one_before_writing(pipeline, tmp_path, capsys, command, key):
+    data, _ = pipeline
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *TINY, f"--{key}", "nan", "--data.dir", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_config_echo_is_strict_json_and_reruns(pipeline, tmp_path):
+    # a non-finite value is echoed as the string "inf", never as Infinity
+    data, _ = pipeline
+    run, again, gen = tmp_path / "run", tmp_path / "again", tmp_path / "gen"
+    inf = ["--train.grad_clip_norm", "inf"]
+    assert main(["gen-data", *TINY, *inf, "--out", str(gen)]) == 0
+    assert main(["train", *TINY, *inf, "--data.dir", str(data), "--run.dir", str(run)]) == 0
+    ckpt = (run / "checkpoint.deci").read_bytes()
+    texts = [(gen / "manifest.json").read_text(), (run / "train_manifest.json").read_text(),
+             *(run / "epochs.jsonl").read_text().splitlines(),
+             ckpt[ckpt.index(b'{"config": '):].decode("utf-8")]  # sort_keys puts config first
+    parsed = [json.loads(text, parse_constant=_reject_constant) for text in texts]
+    for doc in (parsed[0], parsed[1], parsed[-1]):
+        assert doc["config"]["train.grad_clip_norm"] == "inf"
+    (tmp_path / "echo.json").write_text(json.dumps(parsed[1]["config"]))
+    # the echo reproduces the run; --out keeps run.dir, and so the echo, unchanged
+    assert main(["train", "--config", str(tmp_path / "echo.json"), "--out", str(again)]) == 0
+    assert (again / "checkpoint.deci").read_bytes() == ckpt
 
 
 def test_eval_ks_parse_from_flag(pipeline, capsys):

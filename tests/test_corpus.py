@@ -19,7 +19,6 @@ from deci.corpus import (
     RESERVED_TOKENS,
     UNK_ID,
     Document,
-    InputMode,
     LabelSpace,
     SyntheticConfig,
     Vocabulary,
@@ -52,16 +51,10 @@ def test_tokenize_unknown_maps_to_unk(small_vocab):
 
 
 def test_tokenize_empty_and_padding(small_vocab):
+    # tokenize neither pads nor truncates; build_model_input fits the window
     assert tokenize("", small_vocab) == []
-    assert tokenize("", small_vocab, max_len=4) == [PAD_ID] * 4
-    ids = tokenize("aspirin", small_vocab, max_len=3)
-    assert ids == [small_vocab.id("aspirin"), PAD_ID, PAD_ID]
-
-
-def test_tokenize_truncates_to_max_len(small_vocab):
-    ids = tokenize("atrial fibrillation aspirin", small_vocab, max_len=2)
-    assert len(ids) == 2
-    assert ids == [small_vocab.id("atrial"), small_vocab.id("fibrillation")]
+    assert tokenize("aspirin", small_vocab) == [small_vocab.id("aspirin")]
+    assert len(tokenize("aspirin " * 300, small_vocab)) == 300
 
 
 def test_age_bucket_boundaries():
@@ -97,7 +90,7 @@ def test_demographic_tokens_rejects_bad_gender(small_vocab):
 
 def test_build_model_input_full(small_vocab):
     doc = Document(id="d", text="atrial fibrillation", age=70, gender="F")
-    row = build_model_input(doc, small_vocab, max_len=6, mode=InputMode.FULL)
+    row = build_model_input(doc, small_vocab, max_len=6)
     expected = [
         small_vocab.id("[AGE_65_PLUS]"),
         small_vocab.id("[GENDER_F]"),
@@ -111,8 +104,9 @@ def test_build_model_input_full(small_vocab):
 
 
 def test_build_model_input_demographic_only(small_vocab):
-    doc = Document(id="d", text="atrial fibrillation", age=70, gender="F")
-    row = build_model_input(doc, small_vocab, max_len=6, mode=InputMode.DEMOGRAPHIC_ONLY)
+    # a note without text gives the demographic tokens followed by PAD
+    doc = Document(id="d", text="", age=70, gender="F")
+    row = build_model_input(doc, small_vocab, max_len=6)
     assert row[0] == small_vocab.id("[AGE_65_PLUS]")
     assert row[1] == small_vocab.id("[GENDER_F]")
     assert row[2:].tolist() == [PAD_ID] * 4
@@ -121,16 +115,17 @@ def test_build_model_input_demographic_only(small_vocab):
 def test_build_model_input_truncation_keeps_demographics(small_vocab):
     # the demographic prefix survives even when text overflows the window
     doc = Document(id="d", text="atrial fibrillation aspirin", age=20, gender="M")
-    row = build_model_input(doc, small_vocab, max_len=3, mode=InputMode.FULL)
+    row = build_model_input(doc, small_vocab, max_len=3)
     assert row[0] == small_vocab.id("[AGE_18_44]")
     assert row[1] == small_vocab.id("[GENDER_M]")
+    assert row[2] == small_vocab.id("atrial")  # the note keeps its first tokens
     assert len(row) == 3
 
 
 def test_build_model_input_window_too_small(small_vocab):
     doc = Document(id="d", text="x", age=20, gender="M")
     with pytest.raises(ConfigError):
-        build_model_input(doc, small_vocab, max_len=1, mode=InputMode.FULL)
+        build_model_input(doc, small_vocab, max_len=1)
 
 
 def test_document_sorts_codes_and_validates():

@@ -1,8 +1,9 @@
 """Model pathways: encoder, label attention, expert mixture, and the
 counterfactual combination of pathway scores.
 
-Hand-computable cases pin each op; agreement tests tie the batched fast path
-to the per-document reference implementation.
+Hand-computable cases pin each op through the fields of forward_batch's
+BatchBranch; an independent per-document reference in this file checks the
+batched pass, PAD mask included.
 """
 
 import numpy as np
@@ -10,26 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deci.corpus import Document, InputMode, Vocabulary, build_model_input
+from deci.corpus import PAD_ID, Document, Vocabulary, build_model_input
 from deci.errors import DimensionError
-from deci.model import (
-    PathwayScores,
-    batch_inputs,
-    encode,
-    expert_scores,
-    forward,
-    forward_batch,
-    gate_weights,
-    init_params,
-    label_attention,
-    pathway_scores_batch,
-    pathway_zd,
-    pathway_ze,
-    pathway_zk,
-)
-
-# mpmath: sigmoid(2) - sigmoid(0)
-SIGMOID_2_MINUS_HALF = 0.38079707797788244406
+from deci.evaluation import InferenceMode, final_scores_from_z
+from deci.model import batch_inputs, forward_batch, init_params, pathway_scores_batch
+from deci.numerics import sigmoid
 
 
 @pytest.fixture
@@ -48,6 +34,32 @@ def randomized(params, seed):
     rng = np.random.default_rng(seed)
     arrays = {k: v + rng.normal(0, 0.3, size=v.shape) for k, v in params.named_arrays().items()}
     return params.with_arrays(arrays)
+
+
+def branch(params, *rows):
+    """forward_batch over the given id rows."""
+    return forward_batch(params, np.array(rows, dtype=np.int64))
+
+
+def random_rows(vocab_size, seed, shape=(3, 5)):
+    """Id rows with PAD tails of random length; every row keeps its first id."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(1, vocab_size, size=shape)
+    lengths = rng.integers(1, shape[1] + 1, size=shape[0])
+    return np.where(np.arange(shape[1]) < lengths[:, None], ids, PAD_ID)
+
+
+def reference_pathways(p, row):
+    """(gated, uniform) mixtures of one id row, by plain loops over its
+    non-PAD tokens: PAD positions are dropped rather than masked."""
+    enc = np.tanh(p.embedding[row[row != PAD_ID]] @ p.enc_proj + p.enc_bias)
+    logits = p.label_queries @ enc.T
+    att = np.exp(logits - logits.max(axis=1, keepdims=True))
+    label_repr = (att / att.sum(axis=1, keepdims=True)) @ enc
+    scores = np.array([[w[l] @ label_repr[l] for l in range(p.n_labels)] for w in p.expert_w]) + p.expert_b
+    gate = np.exp(label_repr @ p.gate_w + p.gate_bias)
+    gate /= gate.sum(axis=1, keepdims=True)
+    return (gate * scores.T).sum(axis=1), scores.mean(axis=0)
 
 
 def test_init_shapes_and_zeros(params, vocab):
@@ -86,14 +98,14 @@ def test_params_copy_is_independent(params):
 
 
 def test_encode_all_pad_is_zero(params):
-    out = encode(params, np.zeros(4, dtype=np.int64))
-    np.testing.assert_array_equal(out, np.zeros((4, 6)))
+    out = branch(params, [0, 0, 0, 0], [0, 0, 0, 0]).encoded
+    np.testing.assert_array_equal(out, np.zeros((2, 4, 6)))
 
 
 def test_encode_single_token_formula(params, vocab):
     p = randomized(params, 0)  # nonzero enc_bias so masking is actually load-bearing
     tid = vocab.id("w3")
-    out = encode(p, np.array([tid, 0]))
+    out = branch(p, [tid, 0]).encoded[0]
     expected = np.tanh(p.embedding[tid] @ p.enc_proj + p.enc_bias)
     np.testing.assert_allclose(out[0], expected, atol=1e-15)
     np.testing.assert_array_equal(out[1], np.zeros(6))
@@ -101,98 +113,90 @@ def test_encode_single_token_formula(params, vocab):
 
 def test_encode_rejects_out_of_range_ids(params):
     with pytest.raises(IndexError):
-        encode(params, np.array([0, params.vocab_size]))
+        branch(params, [0, params.vocab_size])
     with pytest.raises(IndexError):
-        encode(params, np.array([-1]))
+        branch(params, [-1])
 
 
 def test_attention_single_token_copies_encoding(params, vocab):
     p = randomized(params, 1)
-    ids = np.array([vocab.id("w5"), 0, 0])
-    enc = encode(p, ids)
-    label_repr, attn, degenerate = label_attention(p, enc, ids != 0)
-    assert not degenerate
+    br = branch(p, [vocab.id("w5"), 0, 0])
+    attn, label_repr = br.attention[0], br.label_repr[0]
     # every label attends only to the one visible position
     np.testing.assert_allclose(attn[:, 0], 1.0, atol=1e-15)
     np.testing.assert_array_equal(attn[:, 1:], 0.0)
     for row in label_repr:
-        np.testing.assert_allclose(row, enc[0], atol=1e-15)
+        np.testing.assert_allclose(row, br.encoded[0, 0], atol=1e-15)
 
 
 def test_attention_identical_tokens_split_evenly(params, vocab):
     p = randomized(params, 2)
     tid = vocab.id("w2")
-    ids = np.array([tid, tid, 0])
-    enc = encode(p, ids)
-    _, attn, _ = label_attention(p, enc, ids != 0)
+    attn = branch(p, [tid, tid, 0]).attention[0]
     np.testing.assert_allclose(attn[:, :2], 0.5, atol=1e-12)
     np.testing.assert_array_equal(attn[:, 2], 0.0)
 
 
 def test_attention_rows_sum_to_one(params, vocab):
     p = randomized(params, 3)
-    ids = np.array([vocab.id("w0"), vocab.id("w7"), vocab.id("w9"), 0])
-    enc = encode(p, ids)
-    _, attn, _ = label_attention(p, enc, ids != 0)
+    attn = branch(p, [vocab.id("w0"), vocab.id("w7"), vocab.id("w9"), 0]).attention[0]
     np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_array_equal(attn[:, 3], 0.0)
 
 
 def test_attention_all_pad_degenerate(params):
-    enc = encode(params, np.zeros(3, dtype=np.int64))
-    label_repr, attn, degenerate = label_attention(params, enc, np.zeros(3, dtype=bool))
-    assert degenerate
-    np.testing.assert_array_equal(label_repr, 0.0)
-    np.testing.assert_array_equal(attn, 0.0)
+    br = branch(params, [0, 0, 0])
+    np.testing.assert_array_equal(br.label_repr, 0.0)
+    np.testing.assert_array_equal(br.attention, 0.0)
 
 
 def test_expert_scores_zero_repr_gives_biases(params):
     p = randomized(params, 4)
-    out = expert_scores(p, np.zeros((5, 6)))
-    np.testing.assert_array_equal(out, p.expert_b)
+    br = branch(p, [0, 0])  # an all-PAD row has a zero label representation
+    np.testing.assert_array_equal(br.expert_scores[0], p.expert_b)
 
 
-def test_expert_scores_linear_in_repr(params):
-    rng = np.random.default_rng(5)
-    H = rng.normal(size=(5, 6))
-    base = expert_scores(params, H)  # expert_b is zero at init
-    np.testing.assert_allclose(expert_scores(params, 2.0 * H), 2.0 * base, atol=1e-12)
+def test_expert_scores_linear_in_repr(params, vocab):
+    # entry (i, l) is expert_w[i, l] . label_repr[l] + expert_b[i, l]
+    p = randomized(params, 5)
+    br = forward_batch(p, random_rows(vocab.size, 5))
+    expected = (p.expert_w[None] * br.label_repr[:, None]).sum(axis=-1) + p.expert_b
+    np.testing.assert_allclose(br.expert_scores, expected, atol=1e-12)
 
 
-def test_gate_uniform_at_zero_weights(params):
-    rng = np.random.default_rng(6)
-    gate = gate_weights(params, rng.normal(size=(5, 6)))
-    np.testing.assert_array_equal(gate, np.full((5, 3), 1.0 / 3.0))
+def test_gate_uniform_at_zero_weights(params, vocab):
+    gate = forward_batch(params, random_rows(vocab.size, 6)).gate
+    np.testing.assert_array_equal(gate, np.full((3, 5, 3), 1.0 / 3.0))
 
 
-def test_gate_rows_are_distributions(params):
+def test_gate_rows_are_distributions(params, vocab):
     p = randomized(params, 7)
-    gate = gate_weights(p, np.random.default_rng(8).normal(size=(5, 6)))
+    gate = forward_batch(p, random_rows(vocab.size, 8)).gate
     assert np.all(gate > 0.0)
-    np.testing.assert_allclose(gate.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(gate.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_gate_single_expert_is_trivial(vocab):
     p = randomized(init_params(vocab.size, 5, embed_dim=7, hidden_dim=6, n_experts=1, seed=0), 9)
-    gate = gate_weights(p, np.random.default_rng(10).normal(size=(5, 6)))
-    np.testing.assert_array_equal(gate, np.ones((5, 1)))
+    gate = forward_batch(p, random_rows(vocab.size, 10)).gate
+    np.testing.assert_array_equal(gate, np.ones((3, 5, 1)))
 
 
-def test_zk_equals_ze_under_uniform_gate(params):
+def test_zk_equals_ze_under_uniform_gate(params, vocab):
     # gate weights are zero at init, so the gated mixture IS the uniform one
-    H = np.random.default_rng(13).normal(size=(5, 6))
-    np.testing.assert_array_equal(pathway_zk(params, H), pathway_ze(params, H))
+    br = forward_batch(params, random_rows(vocab.size, 13))
+    np.testing.assert_array_equal(br.gated, br.uniform)
 
 
 def test_zk_equals_ze_with_single_expert(vocab):
     p = randomized(init_params(vocab.size, 4, embed_dim=7, hidden_dim=6, n_experts=1, seed=2), 14)
-    H = np.random.default_rng(15).normal(size=(4, 6))
-    np.testing.assert_array_equal(pathway_zk(p, H), pathway_ze(p, H))
+    br = forward_batch(p, random_rows(vocab.size, 15))
+    np.testing.assert_array_equal(br.gated, br.uniform)
 
 
 def test_ze_invariant_to_expert_order_with_two_experts(vocab):
     p = randomized(init_params(vocab.size, 4, embed_dim=7, hidden_dim=6, n_experts=2, seed=3), 16)
-    H = np.random.default_rng(17).normal(size=(4, 6))
+    ids = random_rows(vocab.size, 17)
     swapped = p.with_arrays(
         {
             **p.named_arrays(),
@@ -201,22 +205,18 @@ def test_ze_invariant_to_expert_order_with_two_experts(vocab):
         }
     )
     # the two-term mean is commutative in floating point
-    np.testing.assert_array_equal(pathway_ze(p, H), pathway_ze(swapped, H))
-
-
-def test_final_score_anchor_value():
-    scores = PathwayScores.from_pathways([2.0], [0.0], [0.0])
-    assert scores.z_f[0] == pytest.approx(SIGMOID_2_MINUS_HALF, abs=1e-15)
+    np.testing.assert_array_equal(forward_batch(p, ids).uniform, forward_batch(swapped, ids).uniform)
 
 
 def test_final_score_zero_knowledge_is_zero():
-    scores = PathwayScores.from_pathways([0.0, 0.0], [1.3, -0.2], [0.4, 2.0])
-    np.testing.assert_array_equal(scores.z_f, 0.0)
+    # z_k = 0 makes the subtraction exactly zero, so the deci score is sigmoid(0)
+    scores = final_scores_from_z([0.0, 0.0], [1.3, -0.2], [0.4, 2.0], InferenceMode.DECI)
+    np.testing.assert_array_equal(scores, 0.5)
 
 
 def test_final_score_shape_mismatch():
     with pytest.raises(DimensionError):
-        PathwayScores.from_pathways([1.0, 2.0], [0.0], [0.0])
+        final_scores_from_z([1.0, 2.0], [0.0], [0.0], InferenceMode.DECI)
 
 
 @given(
@@ -225,51 +225,50 @@ def test_final_score_shape_mismatch():
     st.floats(min_value=-30.0, max_value=30.0),
 )
 def test_final_score_sign_and_range(zk, zd, ze):
-    z_f = float(PathwayScores.from_pathways([zk], [zd], [ze]).z_f[0])
-    assert -1.0 < z_f < 1.0
+    # the subtraction lies in (-1, 1) and has the sign of z_k
+    score = float(final_scores_from_z([zk], [zd], [ze], InferenceMode.DECI)[0])
+    assert sigmoid(-1.0) < score < sigmoid(1.0)
     if zk > 0:
-        assert z_f >= 0.0
+        assert score >= 0.5
     elif zk < 0:
-        assert z_f <= 0.0
+        assert score < 0.5
+
+
+def zd_of(p, vocab, *docs):
+    return pathway_scores_batch(p, list(docs), vocab, max_len=8)[1]
 
 
 def test_zd_depends_only_on_bucket_and_gender(params, vocab):
     p = randomized(params, 18)
     a = Document(id="a", text="w0 w3", age=70, gender="F")
     b = Document(id="b", text="w9 w9 w1", age=91, gender="F")  # same bucket, other text
-    np.testing.assert_array_equal(
-        pathway_zd(p, a, vocab, 8), pathway_zd(p, b, vocab, 8)
-    )
     c = Document(id="c", text="w0 w3", age=30, gender="F")
-    assert (pathway_zd(p, a, vocab, 8) != pathway_zd(p, c, vocab, 8)).any()
+    zd = zd_of(p, vocab, a, b, c)
+    np.testing.assert_array_equal(zd[0], zd[1])
+    assert (zd[0] != zd[2]).any()
 
 
 def test_zd_has_at_most_eight_values(params, vocab):
     p = randomized(params, 19)
-    seen = set()
-    for age in (5, 20, 50, 70):
-        for gender in ("M", "F"):
-            doc = Document(id="d", text="w1", age=age, gender=gender)
-            seen.add(tuple(pathway_zd(p, doc, vocab, 8)))
+    docs = [Document(id="d", text="w1", age=age, gender=gender)
+            for age in (5, 20, 50, 70) for gender in ("M", "F")]
+    seen = {tuple(row) for row in zd_of(p, vocab, *docs)}
     assert len(seen) == 8  # 4 age buckets x 2 genders, all distinct here
     doc = Document(id="d", text="w1 w2 w3", age=66, gender="M")
-    assert tuple(pathway_zd(p, doc, vocab, 8)) in seen
+    assert tuple(zd_of(p, vocab, doc)[0]) in seen
 
 
 def test_forward_combines_pathways(params, vocab):
     p = randomized(params, 20)
-    doc = Document(id="d", text="w1 w4 w4", age=50, gender="M")
-    scores = forward(p, doc, vocab, max_len=8)
-    full = build_model_input(doc, vocab, 8, InputMode.FULL)
-    full_repr, _, degenerate = label_attention(p, encode(p, full), full != 0)
-    demo = build_model_input(doc, vocab, 8, InputMode.DEMOGRAPHIC_ONLY)
-    demo_repr, _, _ = label_attention(p, encode(p, demo), demo != 0)
-    np.testing.assert_array_equal(scores.z_k, pathway_zk(p, full_repr))
-    np.testing.assert_array_equal(scores.z_d, pathway_zk(p, demo_repr))
-    np.testing.assert_array_equal(scores.z_e, pathway_ze(p, full_repr))
-    assert not degenerate
+    docs = [Document(id="d", text="w1 w4 w4", age=50, gender="M")]
+    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8)
+    full_ids, demo_ids = batch_inputs(docs, vocab, 8)
+    full, demo = forward_batch(p, full_ids), forward_batch(p, demo_ids)
+    np.testing.assert_array_equal(zk, full.gated)
+    np.testing.assert_array_equal(zd, demo.gated)
+    np.testing.assert_array_equal(ze, full.uniform)
     # z_e comes from the full view, not the demographic view
-    assert (scores.z_e != pathway_ze(p, demo_repr)).any()
+    assert (ze != demo.uniform).any()
 
 
 def test_forward_batch_matches_per_document(params, vocab):
@@ -283,10 +282,11 @@ def test_forward_batch_matches_per_document(params, vocab):
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=6, batch_size=3)
     assert zk.shape == (4, 5)
     for i, doc in enumerate(docs):
-        single = forward(p, doc, vocab, max_len=6)
-        np.testing.assert_allclose(zk[i], single.z_k, atol=1e-12)
-        np.testing.assert_allclose(zd[i], single.z_d, atol=1e-12)
-        np.testing.assert_allclose(ze[i], single.z_e, atol=1e-12)
+        row = build_model_input(doc, vocab, 6)
+        gated, uniform = reference_pathways(p, row)
+        np.testing.assert_allclose(zk[i], gated, atol=1e-12)
+        np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
+        np.testing.assert_allclose(ze[i], uniform, atol=1e-12)
 
 
 def test_forward_batch_attention_rows(params, vocab):
@@ -297,15 +297,10 @@ def test_forward_batch_attention_rows(params, vocab):
     ]
     ids, _ = batch_inputs(docs, vocab, max_len=5)
     assert ids.shape == (2, 4)  # trailing all-PAD columns are dropped
-    branch = forward_batch(p, ids)
-    np.testing.assert_allclose(branch.attention.sum(axis=2), 1.0, atol=1e-9)
+    br = forward_batch(p, ids)
+    np.testing.assert_allclose(br.attention.sum(axis=2), 1.0, atol=1e-9)
     # the short document's PAD position carries no attention
-    assert not branch.attention[1, :, 3].any()
-
-
-def test_forward_batch_rejects_bad_ids(params):
-    with pytest.raises(IndexError):
-        forward_batch(params, np.array([[0, params.vocab_size]]))
+    assert not br.attention[1, :, 3].any()
 
 
 def test_batch_inputs_layout(params, vocab):
@@ -319,8 +314,12 @@ def test_batch_inputs_layout(params, vocab):
 
 
 def test_degenerate_document_all_pathways_finite(params, vocab):
+    p = randomized(params, 23)
+    # an all-PAD row has nothing to attend to, yet both mixtures stay finite
+    br = branch(p, [0, 0, 0])
+    assert np.all(np.isfinite(br.gated)) and np.all(np.isfinite(br.uniform))
     # empty text: the full view still has demographics, so nothing is NaN
     doc = Document(id="d", text="", age=30, gender="M")
-    scores = forward(randomized(params, 23), doc, vocab, max_len=4)
-    for z in (scores.z_k, scores.z_d, scores.z_e, scores.z_f):
-        assert np.all(np.isfinite(z))
+    z = pathway_scores_batch(p, [doc], vocab, max_len=4)
+    for arr in (*z, final_scores_from_z(*z, InferenceMode.DECI)):
+        assert np.all(np.isfinite(arr))

@@ -22,7 +22,7 @@ from deci.corpus import (
     synthetic_label_space,
 )
 from deci.errors import ConfigError, FormatError, NumericalError
-from deci.model import forward, init_params, pathway_scores_batch
+from deci.model import init_params, pathway_scores_batch
 from deci.numerics import finite_difference_check, sigmoid
 from deci.training import (
     AdamState,
@@ -102,8 +102,8 @@ def test_loss_alpha_beta_zero_is_knowledge_only(tiny_world):
     batch = docs[:6]
     cfg = TrainConfig(alpha=0.0, beta=0.0)
     got = total_loss(batch, params, cfg, vocab, labels, max_len=8)
-    # recompute the knowledge term through the per-document reference path
-    zk = np.stack([forward(params, d, vocab, 8).z_k for d in batch])
+    # recompute the knowledge term from the knowledge pathway's scores
+    zk = pathway_scores_batch(params, batch, vocab, 8)[0]
     y = np.stack([labels.multi_hot(d.codes) for d in batch])
     p = sigmoid(zk)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -278,10 +278,10 @@ def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
     assert ckpt.max_len == 8
     assert ckpt.config == {"alpha": 0.5}
     # forward through loaded params matches forward through cast params exactly
-    for doc in docs[:3]:
-        want = forward(cast, doc, vocab, 8)
-        got = forward(ckpt.params, doc, vocab, 8)
-        np.testing.assert_array_equal(got.z_f, want.z_f)
+    want = pathway_scores_batch(cast, docs[:3], vocab, 8)
+    got = pathway_scores_batch(ckpt.params, docs[:3], vocab, 8)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_checkpoint_second_round_trip_is_byte_identical(tiny_world, tmp_path):
