@@ -190,7 +190,10 @@ def _write_json(path: Path, obj) -> None:
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
     scfg = cfg.synthetic_config()
-    scfg.validate()  # before any directory or file is touched
+    # Every section is checked before any directory or file is touched, so
+    # the manifest never echoes a config that train would refuse.
+    for section in (scfg, cfg.model_config(), cfg.train_config()):
+        section.validate()
     out_dir = Path(args.out or cfg["data.dir"])
     splits = dict(zip(("train", "dev", "test"), generate_synthetic(scfg)))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,12 +215,13 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 def cmd_train(cfg: RunConfig, args) -> int:
     data_dir = Path(cfg["data.dir"])
     out_dir = Path(args.out or cfg["run.dir"])
+    mcfg = cfg.model_config()
+    mcfg.validate()  # before any data is loaded
     label_space = LabelSpace.from_file(data_dir / "labels.txt")
     train_docs = load_jsonl(data_dir / "train.jsonl", label_space)
     dev_path = data_dir / "dev.jsonl"
     dev_docs = load_jsonl(dev_path, label_space) if dev_path.exists() else []
     vocab = Vocabulary.from_documents(train_docs)
-    mcfg = cfg.model_config()
     params = init_params(
         vocab.size, len(label_space),
         embed_dim=mcfg.embed_dim, hidden_dim=mcfg.hidden_dim,

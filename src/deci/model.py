@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, build_model_input
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 # Generic input window for real notes. The bundled synthetic experiment runs
 # at a much smaller window (ModelConfig.max_len = 16) so that part of the
@@ -32,6 +32,15 @@ class ModelConfig:
     hidden_dim: int = 100
     n_experts: int = 4
     max_len: int = 16
+
+    def validate(self) -> None:
+        # Each check is written so that NaN fails it.
+        for name in ("embed_dim", "hidden_dim", "n_experts"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # a full row starts with the two demographic tokens
+        if not self.max_len >= 2:
+            raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
 
 
 @dataclass
@@ -150,28 +159,35 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     """Encode a batch of token-id rows (B, N) through one branch."""
     ids = np.asarray(ids, dtype=np.int64)
     _validate_ids(params, ids)
-    B, N = ids.shape
+    B = ids.shape[0]
     L, F = params.n_labels, params.n_experts
     mask = ids != PAD_ID
     embedded = params.embedding[ids] * mask[..., None]
     encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias) * mask[..., None]
 
-    logits = np.einsum("ld,bnd->bln", params.label_queries, encoded)
+    logits = params.label_queries @ encoded.transpose(0, 2, 1)
     logits = np.where(mask[:, None, :], logits, -np.inf)
     rowmax = logits.max(axis=2, keepdims=True)
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # all-PAD documents
     att = np.exp(logits - rowmax)
     denom = att.sum(axis=2, keepdims=True)
     att = att / np.where(denom == 0.0, 1.0, denom)
-    label_repr = np.einsum("bln,bnd->bld", att, encoded)
+    label_repr = att @ encoded
 
-    scores = np.einsum("fld,bld->bfl", params.expert_w, label_repr) + params.expert_b[None]
-    gate = _softmax_last(np.einsum("bld,df->blf", label_repr, params.gate_w) + params.gate_bias)
-    gated = np.einsum("blf,bfl->bl", gate, scores)
-    uniform = np.einsum("blf,bfl->bl", np.full((B, L, F), 1.0 / F), scores)
+    # One (B, d_h) @ (d_h, F) product per label, written into a C-contiguous
+    # (B, L, F) array, so that gated and uniform below reduce the same layout
+    # and a uniform gate gives them bitwise equal.
+    scores = np.empty((B, L, F))
+    np.matmul(label_repr.transpose(1, 0, 2), params.expert_w.transpose(1, 2, 0),
+              out=scores.transpose(1, 0, 2))
+    scores += params.expert_b.T
+    gate = _softmax_last(label_repr @ params.gate_w + params.gate_bias)
+    gated = (gate * scores).sum(axis=-1)
+    uniform = (scores * (1.0 / F)).sum(axis=-1)
     return BatchBranch(
         token_ids=ids, mask=mask, embedded=embedded, encoded=encoded, attention=att,
-        label_repr=label_repr, expert_scores=scores, gate=gate, gated=gated, uniform=uniform,
+        label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1), gate=gate,
+        gated=gated, uniform=uniform,
     )
 
 
@@ -189,35 +205,51 @@ def backward_batch(
     """Accumulate parameter gradients for one branch into grads.
 
     d_gated and d_uniform are (B, L) gradients of the loss with respect to
-    this branch's gated and uniform mixtures.
+    this branch's gated and uniform mixtures. Every contraction is a matmul:
+    2-D over the (B*L) or (B*N) rows, or batched over B or over the labels.
     """
-    F = params.n_experts
-    S, G, H = br.expert_scores, br.gate, br.label_repr
+    L, F = params.n_labels, params.n_experts
+    d_e, d_h = params.embed_dim, params.hidden_dim
+    S, G, H = br.expert_scores.transpose(0, 2, 1), br.gate, br.label_repr  # (B, L, F), (B, L, d_h)
 
-    dS = np.einsum("bl,blf->bfl", d_gated, G) + d_uniform[:, None, :] / F
-    grads["expert_w"] += np.einsum("bfl,bld->fld", dS, H)
-    grads["expert_b"] += dS.sum(axis=0)
-    dH = np.einsum("bfl,fld->bld", dS, params.expert_w)
+    dS = d_gated[..., None] * G + (d_uniform / F)[..., None]
+    dS_by_label = dS.transpose(1, 0, 2)  # (L, B, F)
+    grads["expert_w"] += (dS_by_label.transpose(0, 2, 1) @ H.transpose(1, 0, 2)).transpose(1, 0, 2)
+    grads["expert_b"] += dS.sum(axis=0).T
+    dH = np.empty_like(H)  # C-contiguous, for the batched products below
+    np.matmul(dS_by_label, params.expert_w.transpose(1, 0, 2), out=dH.transpose(1, 0, 2))
 
-    dG = np.einsum("bl,bfl->blf", d_gated, S)
+    dG = d_gated[..., None] * S
     dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
-    grads["gate_w"] += np.einsum("bld,blf->df", H, dglog)
+    grads["gate_w"] += H.reshape(-1, d_h).T @ dglog.reshape(-1, F)
     grads["gate_bias"] += dglog.sum(axis=(0, 1))
-    dH += np.einsum("blf,df->bld", dglog, params.gate_w)
+    dH += dglog @ params.gate_w.T
 
     A, E = br.attention, br.encoded
-    dA = np.einsum("bld,bnd->bln", dH, E)
-    dE = np.einsum("bln,bld->bnd", A, dH)
+    dA = dH @ E.transpose(0, 2, 1)
+    dE = A.transpose(0, 2, 1) @ dH
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
-    grads["label_queries"] += np.einsum("bln,bnd->ld", dalog, E)
-    dE += np.einsum("bln,ld->bnd", dalog, params.label_queries)
+    grads["label_queries"] += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
+    dE += dalog.transpose(0, 2, 1) @ params.label_queries
     dE *= br.mask[..., None]
 
     dU = dE * (1.0 - E * E)  # tanh'; PAD rows already zero in dE
-    grads["enc_proj"] += np.einsum("bnd,bnh->dh", br.embedded, dU)
+    grads["enc_proj"] += br.embedded.reshape(-1, d_e).T @ dU.reshape(-1, d_h)
     grads["enc_bias"] += dU.sum(axis=(0, 1))
-    dX = np.einsum("bnh,dh->bnd", dU, params.enc_proj)
-    np.add.at(grads["embedding"], br.token_ids.ravel(), dX.reshape(-1, params.embed_dim))
+    dX = dU.reshape(-1, d_h) @ params.enc_proj.T
+    _add_rows(grads["embedding"], br.token_ids.ravel(), dX)
+
+
+def _add_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """target[ids[i]] += rows[i] for every i, touching only the rows of ids.
+
+    A stable sort groups equal ids with their rows in input order, and
+    np.add.reduceat sums each group before the one add into target.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    target[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -73,6 +73,30 @@ def test_gen_data_validates_before_writing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--train.lr", "nan"],
+    ["--model.max_len", "1"],
+    ["--model.n_experts", "0"],
+    ["--train.lr", "nan", "--model.max_len", "1"],
+])
+def test_gen_data_refuses_what_train_refuses(tmp_path, capsys, flags):
+    # the manifest echoes every key, so gen-data checks the model and train
+    # sections too, before anything is written
+    out = tmp_path / "never"
+    assert main(["gen-data", *TINY, *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--model.max_len", "1"], ["--model.n_experts", "0"]])
+def test_train_checks_the_model_config_before_loading_data(tmp_path, capsys, flags):
+    # the data dir does not exist: a config error is reported, not a missing file
+    assert main(["train", "--data.dir", str(tmp_path / "absent"), "--run.dir", str(tmp_path / "run"),
+                 *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_outputs(pipeline):
     _, run = pipeline
     assert (run / "checkpoint.deci").exists()

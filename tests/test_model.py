@@ -3,7 +3,9 @@ counterfactual combination of pathway scores.
 
 Hand-computable cases pin each op through the fields of forward_batch's
 BatchBranch; an independent per-document reference in this file checks the
-batched pass, PAD mask included.
+batched pass, PAD mask included. The einsum formulation of forward_batch and
+backward_batch, kept here as a second reference, checks every field and every
+gradient of the matmul formulation.
 """
 
 import numpy as np
@@ -11,10 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deci.corpus import PAD_ID, Document, Vocabulary, build_model_input
-from deci.errors import DimensionError
+from deci.corpus import PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_model_input
+from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
-from deci.model import batch_inputs, forward_batch, init_params, pathway_scores_batch
+from deci.model import (
+    BatchBranch, ModelConfig, backward_batch, batch_inputs, forward_batch, init_params,
+    pathway_scores_batch, zero_grads,
+)
 from deci.numerics import sigmoid
 
 
@@ -323,3 +328,163 @@ def test_degenerate_document_all_pathways_finite(params, vocab):
     z = pathway_scores_batch(p, [doc], vocab, max_len=4)
     for arr in (*z, final_scores_from_z(*z, InferenceMode.DECI)):
         assert np.all(np.isfinite(arr))
+
+
+# -- einsum reference ----------------------------------------------------------
+# forward_batch and backward_batch as written with np.einsum and np.add.at,
+# before their contractions became matmuls. Summation order differs between
+# the two, so they agree to a tolerance fixed from float64 rounding:
+# |new - ref| <= 1e-12 * max(1, max|ref|) for each array.
+
+
+def _einsum_softmax_last(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def einsum_forward_batch(params, ids):
+    ids = np.asarray(ids, dtype=np.int64)
+    B, N = ids.shape
+    L, F = params.n_labels, params.n_experts
+    mask = ids != PAD_ID
+    embedded = params.embedding[ids] * mask[..., None]
+    encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias) * mask[..., None]
+
+    logits = np.einsum("ld,bnd->bln", params.label_queries, encoded)
+    logits = np.where(mask[:, None, :], logits, -np.inf)
+    rowmax = logits.max(axis=2, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # all-PAD documents
+    att = np.exp(logits - rowmax)
+    denom = att.sum(axis=2, keepdims=True)
+    att = att / np.where(denom == 0.0, 1.0, denom)
+    label_repr = np.einsum("bln,bnd->bld", att, encoded)
+
+    scores = np.einsum("fld,bld->bfl", params.expert_w, label_repr) + params.expert_b[None]
+    gate = _einsum_softmax_last(np.einsum("bld,df->blf", label_repr, params.gate_w) + params.gate_bias)
+    gated = np.einsum("blf,bfl->bl", gate, scores)
+    uniform = np.einsum("blf,bfl->bl", np.full((B, L, F), 1.0 / F), scores)
+    return BatchBranch(
+        token_ids=ids, mask=mask, embedded=embedded, encoded=encoded, attention=att,
+        label_repr=label_repr, expert_scores=scores, gate=gate, gated=gated, uniform=uniform,
+    )
+
+
+def einsum_backward_batch(params, br, d_gated, d_uniform, grads):
+    F = params.n_experts
+    S, G, H = br.expert_scores, br.gate, br.label_repr
+
+    dS = np.einsum("bl,blf->bfl", d_gated, G) + d_uniform[:, None, :] / F
+    grads["expert_w"] += np.einsum("bfl,bld->fld", dS, H)
+    grads["expert_b"] += dS.sum(axis=0)
+    dH = np.einsum("bfl,fld->bld", dS, params.expert_w)
+
+    dG = np.einsum("bl,bfl->blf", d_gated, S)
+    dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
+    grads["gate_w"] += np.einsum("bld,blf->df", H, dglog)
+    grads["gate_bias"] += dglog.sum(axis=(0, 1))
+    dH += np.einsum("blf,df->bld", dglog, params.gate_w)
+
+    A, E = br.attention, br.encoded
+    dA = np.einsum("bld,bnd->bln", dH, E)
+    dE = np.einsum("bln,bld->bnd", A, dH)
+    dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
+    grads["label_queries"] += np.einsum("bln,bnd->ld", dalog, E)
+    dE += np.einsum("bln,ld->bnd", dalog, params.label_queries)
+    dE *= br.mask[..., None]
+
+    dU = dE * (1.0 - E * E)  # tanh'; PAD rows already zero in dE
+    grads["enc_proj"] += np.einsum("bnd,bnh->dh", br.embedded, dU)
+    grads["enc_bias"] += dU.sum(axis=(0, 1))
+    dX = np.einsum("bnh,dh->bnd", dU, params.enc_proj)
+    np.add.at(grads["embedding"], br.token_ids.ravel(), dX.reshape(-1, params.embed_dim))
+
+
+def assert_close_to_reference(new, ref, what):
+    new, ref = np.asarray(new, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    assert new.shape == ref.shape, what
+    bound = 1e-12 * max(1.0, float(np.abs(ref).max(initial=0.0)))
+    worst = float(np.abs(new - ref).max(initial=0.0))
+    assert worst <= bound, f"{what}: |new - ref| = {worst:.3g} > {bound:.3g}"
+
+
+def compare_with_einsum(p, ids, d_gated, d_uniform, start_grads):
+    """Run both formulations from the same inputs and compare every array."""
+    new, ref = forward_batch(p, ids), einsum_forward_batch(p, ids)
+    for name in BatchBranch.__dataclass_fields__:
+        assert_close_to_reference(getattr(new, name), getattr(ref, name), name)
+    new_grads = {k: g.copy() for k, g in start_grads.items()}
+    ref_grads = {k: g.copy() for k, g in start_grads.items()}
+    backward_batch(p, new, d_gated, d_uniform, new_grads)
+    einsum_backward_batch(p, ref, d_gated, d_uniform, ref_grads)
+    for name in ref_grads:
+        assert_close_to_reference(new_grads[name], ref_grads[name], f"grad {name}")
+    return new_grads
+
+
+def random_case(rng, i):
+    """(params, ids) of one seeded case; the kind of id rows cycles with i."""
+    F, L = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+    d_e, d_h = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    vocab_size = len(RESERVED_TOKENS) + 6
+    p = randomized(init_params(vocab_size, L, embed_dim=d_e, hidden_dim=d_h, n_experts=F, seed=i), i)
+    B = int(rng.integers(1, 6))
+    kind = i % 4
+    if kind == 3:
+        # the demographic-only view: two reserved, non-PAD tokens per row
+        ids = rng.integers(2, len(RESERVED_TOKENS), size=(B, 2))
+    else:
+        ids = random_rows(vocab_size, i, shape=(B, int(rng.integers(1, 7))))
+        if kind == 1:
+            ids[rng.integers(0, B)] = PAD_ID  # one all-PAD row
+        elif kind == 2:
+            ids[:] = PAD_ID  # nothing but PAD
+    return p, ids
+
+
+def test_matmul_formulation_matches_einsum_reference():
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        p, ids = random_case(rng, i)
+        B, L = ids.shape[0], p.n_labels
+        d_gated, d_uniform = rng.normal(size=(B, L)), rng.normal(size=(B, L))
+        start = zero_grads(p)
+        if i % 2:  # the demographic branch adds onto the full branch's gradients
+            start = {k: rng.normal(size=g.shape) for k, g in start.items()}
+        compare_with_einsum(p, ids, d_gated, d_uniform, start)
+
+
+@pytest.mark.parametrize("onto_nonzero", [False, True])
+def test_embedding_gradient_matches_add_at(params, vocab, onto_nonzero):
+    p = randomized(params, 24)
+    rng = np.random.default_rng(25)
+    w3, w5, w7 = vocab.id("w3"), vocab.id("w5"), vocab.id("w7")
+    batches = [
+        np.full((4, 5), w3),                               # one id fills every position
+        np.array([[w3, w5, w7], [w7, w3, w5], [w5, w5, w3]]),  # ids repeat across rows
+        np.array([[w5, w7, PAD_ID, PAD_ID], [w7, PAD_ID, PAD_ID, PAD_ID]]),  # PAD tails
+        np.array([[PAD_ID, PAD_ID], [PAD_ID, PAD_ID]]),    # only PAD
+    ]
+    for ids in batches:
+        B = ids.shape[0]
+        start = zero_grads(p)
+        if onto_nonzero:
+            start = {k: rng.normal(size=g.shape) for k, g in start.items()}
+        grads = compare_with_einsum(p, ids, rng.normal(size=(B, 5)), rng.normal(size=(B, 5)), start)
+        unseen = np.setdiff1d(np.arange(p.vocab_size), ids)
+        # rows of ids absent from the batch are left exactly as they were
+        np.testing.assert_array_equal(grads["embedding"][unseen], start["embedding"][unseen])
+
+
+def test_model_config_validate():
+    ModelConfig().validate()
+    ModelConfig(max_len=2).validate()  # room for the two demographic tokens
+    for bad in (
+        ModelConfig(max_len=1),
+        ModelConfig(embed_dim=0),
+        ModelConfig(hidden_dim=0),
+        ModelConfig(n_experts=0),
+        ModelConfig(embed_dim=float("nan")),
+        ModelConfig(max_len=float("nan")),
+    ):
+        with pytest.raises(ConfigError):
+            bad.validate()
