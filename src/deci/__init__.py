@@ -48,11 +48,7 @@ from .model import (
     init_params,
     pathway_scores_batch,
 )
-from .numerics import (
-    GradCheckReport,
-    finite_difference_check,
-    sigmoid,
-)
+from .numerics import sigmoid
 from .training import (
     Checkpoint,
     TrainConfig,

@@ -8,13 +8,14 @@ After the command, every key is a flag of its exact name, as
 "--data.n_labels 30" or "--data.n_labels=30"; train also takes --alpha,
 --beta, --epochs and --lr, and eval takes --mode.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data or file
-format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration error or stdout closed
+early, 2 data or file format error, 3 numerical failure.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -65,14 +66,18 @@ _ALIASES = {
 }
 
 
+def _as_int(raw) -> int:
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError
+    return int(raw)
+
+
 def _coerce(key: str, raw):
     """Check raw against the default's type; strings are parsed."""
     default = DEFAULTS[key]
     try:
         if isinstance(default, int):
-            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-                raise ValueError
-            return int(raw)
+            return _as_int(raw)
         if isinstance(default, float):
             if isinstance(raw, bool):
                 raise ValueError
@@ -86,7 +91,7 @@ def _coerce(key: str, raw):
                 raw = [p for p in raw.split(",") if p.strip()]
             if not isinstance(raw, list) or not raw:
                 raise ValueError
-            return [int(v) for v in raw]
+            return [_as_int(v) for v in raw]
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
     raise ConfigError(f"unhandled config key {key}")
@@ -327,7 +332,12 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
             return 1 if exc.code else 0
         cfg = RunConfig.build(args.config, overrides)
-        return args.func(cfg, args)
+        code = args.func(cfg, args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout has gone, as under `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

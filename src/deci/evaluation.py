@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import model as M
-from .corpus import LabelSpace, Vocabulary, confound_predicate
+from .corpus import LabelSpace, SyntheticConfig, Vocabulary, confound_predicate
 from .errors import ConfigError, DimensionError, EvaluationError
 from .numerics import sigmoid
 
@@ -228,7 +228,8 @@ def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -
 
 def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
                  ks: tuple[int, ...] = (5,), max_len: int = M.DEFAULT_MAX_LEN,
-                 confounded_label: str | None = None, confound_attribute: str = "age>=65",
+                 confounded_label: str | None = None,
+                 confound_attribute: str = SyntheticConfig.confound_attribute,
                  modes: tuple[InferenceMode, ...] = tuple(InferenceMode)) -> dict[str, EvalReport]:
     """One report per mode in modes, keyed by mode value, from a single forward pass.
 
@@ -257,7 +258,7 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
 def evaluate(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
              mode: InferenceMode = InferenceMode.DECI, ks: tuple[int, ...] = (5,),
              max_len: int = M.DEFAULT_MAX_LEN, confounded_label: str | None = None,
-             confound_attribute: str = "age>=65") -> EvalReport:
+             confound_attribute: str = SyntheticConfig.confound_attribute) -> EvalReport:
     """The run_ablation report for a single mode."""
     return run_ablation(docs, params, vocab, label_space, ks=ks, max_len=max_len,
                         confounded_label=confounded_label,

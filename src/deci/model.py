@@ -139,7 +139,6 @@ class BatchBranch:
     """Intermediates of one branch over a batch, enough to backpropagate."""
 
     token_ids: np.ndarray    # (B, N)
-    mask: np.ndarray         # (B, N)
     embedded: np.ndarray     # (B, N, d_e)
     encoded: np.ndarray      # (B, N, d_h)
     attention: np.ndarray    # (B, L, N)
@@ -185,7 +184,7 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     gated = (gate * scores).sum(axis=-1)
     uniform = (scores * (1.0 / F)).sum(axis=-1)
     return BatchBranch(
-        token_ids=ids, mask=mask, embedded=embedded, encoded=encoded, attention=att,
+        token_ids=ids, embedded=embedded, encoded=encoded, attention=att,
         label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1), gate=gate,
         gated=gated, uniform=uniform,
     )
@@ -231,9 +230,8 @@ def backward_batch(
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
     grads["label_queries"] += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
     dE += dalog.transpose(0, 2, 1) @ params.label_queries
-    dE *= br.mask[..., None]
 
-    dU = dE * (1.0 - E * E)  # tanh'; PAD rows already zero in dE
+    dU = dE * (1.0 - E * E)  # tanh'; PAD rows of dE are ±0, as attention is 0 there
     grads["enc_proj"] += br.embedded.reshape(-1, d_e).T @ dU.reshape(-1, d_h)
     grads["enc_bias"] += dU.sum(axis=(0, 1))
     dX = dU.reshape(-1, d_h) @ params.enc_proj.T

@@ -10,6 +10,7 @@ differences in the test suite.
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -309,7 +310,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"non-positive dimension in header: {dims}")
     arrays = {}
     for name, shape in _array_shapes(*dims).items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: a forged header cannot wrap it
         raw = take(4 * count, f"array {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     (blob_len,) = struct.unpack("<I", take(4, "metadata length"))

@@ -21,8 +21,9 @@ from deci.cli import RunConfig, main
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
 from deci.model import forward_batch, init_params, pathway_scores_batch
-from deci.numerics import finite_difference_check, sigmoid
+from deci.numerics import sigmoid
 from deci.training import TrainConfig, load_checkpoint, save_checkpoint, train, total_loss, loss_and_grads
+from gradcheck import finite_difference_check
 
 
 def _line(criterion: str, passed: bool, detail: str) -> None:

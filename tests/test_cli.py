@@ -361,7 +361,7 @@ def test_defaults_keep_their_keys_order_and_values():
     assert [type(v) for v in DEFAULTS.values()] == [type(v) for _, v in expected]
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
@@ -369,6 +369,13 @@ def test_config_file_errors(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
     bad.write_text(json.dumps(["not", "an", "object"]))
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+    # list elements follow the int rule: no truncated float, no bool
+    for ks in ([2.7], [True]):
+        capsys.readouterr()
+        bad.write_text(json.dumps({"eval.ks": ks}))
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        assert "bad value for eval.ks" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("key", ["model.gate_per_label", "train.stop_bias_encoder_grad"])
@@ -484,6 +491,22 @@ def _blas_pinned_outputs(root, threads: int):
         subprocess.run([sys.executable, "-m", "deci.cli", *argv, *sizes], cwd=root, env=env,
                        check=True, capture_output=True, timeout=300)
     return (root / "run" / "checkpoint.deci").read_bytes(), (root / "ablate.json").read_bytes()
+
+
+def test_closed_stdout_exits_1_without_traceback(pipeline):
+    # as under `deci eval --ablate | head -3`: the reader closes the pipe at once
+    data, run = pipeline
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "deci.cli", "eval", "--ablate", *TINY,
+         "--data.dir", str(data), "--run.dir", str(run)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):

@@ -364,7 +364,7 @@ def einsum_forward_batch(params, ids):
     gated = np.einsum("blf,bfl->bl", gate, scores)
     uniform = np.einsum("blf,bfl->bl", np.full((B, L, F), 1.0 / F), scores)
     return BatchBranch(
-        token_ids=ids, mask=mask, embedded=embedded, encoded=encoded, attention=att,
+        token_ids=ids, embedded=embedded, encoded=encoded, attention=att,
         label_repr=label_repr, expert_scores=scores, gate=gate, gated=gated, uniform=uniform,
     )
 
@@ -390,7 +390,7 @@ def einsum_backward_batch(params, br, d_gated, d_uniform, grads):
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
     grads["label_queries"] += np.einsum("bln,bnd->ld", dalog, E)
     dE += np.einsum("bln,ld->bnd", dalog, params.label_queries)
-    dE *= br.mask[..., None]
+    dE *= (br.token_ids != PAD_ID)[..., None]
 
     dU = dE * (1.0 - E * E)  # tanh'; PAD rows already zero in dE
     grads["enc_proj"] += np.einsum("bnd,bnh->dh", br.embedded, dU)

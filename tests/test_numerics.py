@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deci.errors import DimensionError, NumericalError
-from deci.numerics import finite_difference_check, sigmoid
+from deci.numerics import sigmoid
+from gradcheck import finite_difference_check
 
 # mpmath.mp.dps = 50 reference values.
 SIGMOID_2 = 0.88079707797788244406

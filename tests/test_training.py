@@ -23,7 +23,7 @@ from deci.corpus import (
 )
 from deci.errors import ConfigError, FormatError, NumericalError
 from deci.model import init_params, pathway_scores_batch
-from deci.numerics import finite_difference_check, sigmoid
+from deci.numerics import sigmoid
 from deci.training import (
     AdamState,
     _bce_and_grad,
@@ -38,6 +38,7 @@ from deci.training import (
     total_loss,
     train,
 )
+from gradcheck import finite_difference_check
 
 LN2 = 0.69314718055994530942  # mpmath: ln 2
 THREE_LN2 = 2.0794415416798359283  # mpmath: 3 * ln 2
@@ -353,6 +354,10 @@ def test_checkpoint_truncation_and_trailing_bytes(tiny_world, tmp_path):
             load_checkpoint(bad)
     bad.write_bytes(blob + b"x")
     with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(bad)
+    # dims whose array sizes overflow int64: the embedding alone is ~1.8e19 floats
+    bad.write_bytes(blob[:8] + struct.pack("<5I", 2**32 - 1, 2**32 - 1, 1, 1, 1) + blob[28:])
+    with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(bad)
 
 
