@@ -9,7 +9,7 @@ After the command, every key is a flag of its exact name, as
 --beta, --epochs and --lr, and eval takes --mode.
 
 Exit codes: 0 success, 1 usage or configuration error or stdout closed
-early, 2 data or file format error, 3 numerical failure.
+early, 2 data, file format or file system error, 3 numerical failure.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from .errors import (
     ParseError, ValidationError,
 )
 from .evaluation import InferenceMode, final_scores_from_z, run_ablation
-from .model import ModelConfig, init_params, pathway_scores_batch
+from .model import ModelConfig, ModelParams, init_params, pathway_scores_batch
 from .training import (
     TrainConfig, dev_metrics, load_checkpoint, save_checkpoint, selected_epoch, train,
 )
@@ -222,6 +222,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out or cfg["run.dir"])
     mcfg = cfg.model_config()
     mcfg.validate()  # before any data is loaded
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"output path {out_dir} is not a directory")
     label_space = LabelSpace.from_file(data_dir / "labels.txt")
     train_docs = load_jsonl(data_dir / "train.jsonl", label_space)
     dev_path = data_dir / "dev.jsonl"
@@ -241,7 +243,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     save_checkpoint(out_dir / "checkpoint.deci", best, vocab, label_space,
                     max_len=mcfg.max_len, config=cfg.echo())
     # report the model the checkpoint holds: the selected epoch, cast to float32
-    saved = best.with_arrays({k: a.astype(np.float32) for k, a in best.named_arrays().items()})
+    saved = ModelParams(best.dims, best.flat.astype(np.float32))
     final_dev = dev_metrics(dev_docs, saved, vocab, label_space, mcfg.max_len) if dev_docs else None
     summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
     _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo(), **summary})
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError, FormatError, EvaluationError,
-            FileNotFoundError, IsADirectoryError) as exc:
+            UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -351,13 +351,17 @@ def load_jsonl(path, label_space: LabelSpace | None = None) -> list[Document]:
     """Read documents back; when label_space is given, every code must be known.
 
     Without a label_space the "codes" field is optional and a missing one
-    loads as no codes, so unlabeled notes can be scored. Malformed lines
-    raise ParseError with the 1-based line number; a code outside
-    label_space raises ValidationError naming the code.
+    loads as no codes, so unlabeled notes can be scored. Malformed or
+    non-UTF-8 lines raise ParseError with the 1-based line number; a code
+    outside label_space raises ValidationError naming the code.
     """
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:  # lines end at b"\n"; each is decoded on its own
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", lineno) from None
             if not line.strip():
                 continue
             try:

@@ -11,6 +11,7 @@ All math is float64. forward_batch and backward_batch are the one model
 implementation: training, evaluation and prediction all run through them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,57 +44,59 @@ class ModelConfig:
             raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
 
 
-@dataclass
+def param_shapes(vocab_size, d_e, d_h, n_labels, n_experts) -> dict[str, tuple]:
+    """Name and shape of every trainable array, in their order in
+    ModelParams.flat, which is also the checkpoint order."""
+    return {
+        "embedding": (vocab_size, d_e),
+        "enc_proj": (d_e, d_h),
+        "enc_bias": (d_h,),
+        "label_queries": (n_labels, d_h),
+        "expert_w": (n_experts, n_labels, d_h),
+        "expert_b": (n_experts, n_labels),
+        "gate_w": (d_h, n_experts),
+        "gate_bias": (n_experts,),
+    }
+
+
 class ModelParams:
-    """All trainable arrays."""
+    """All trainable arrays, as attributes that are views into one float64
+    vector, flat. dims is (vocab, d_e, d_h, n_labels, n_experts), and
+    param_shapes(*dims) names and lays out the views. flat=None is all zeros."""
 
-    embedding: np.ndarray      # (vocab, d_e)
-    enc_proj: np.ndarray       # (d_e, d_h)
-    enc_bias: np.ndarray       # (d_h,)
-    label_queries: np.ndarray  # (n_labels, d_h)
-    expert_w: np.ndarray       # (n_experts, n_labels, d_h)
-    expert_b: np.ndarray       # (n_experts, n_labels)
-    gate_w: np.ndarray         # (d_h, n_experts)
-    gate_bias: np.ndarray      # (n_experts,)
+    def __init__(self, dims, flat: np.ndarray | None = None):
+        self.dims = tuple(int(d) for d in dims)
+        shapes = param_shapes(*self.dims)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        n = sum(sizes)
+        # contiguous, so that every reshape below is a view
+        self.flat = np.zeros(n) if flat is None else np.ascontiguousarray(flat, np.float64)
+        if self.flat.shape != (n,):
+            raise DimensionError(f"flat has shape {self.flat.shape}, dims {self.dims} need ({n},)")
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, self.flat[start: start + size].reshape(shape))
+            start += size
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+    vocab_size = property(lambda self: self.dims[0])
+    embed_dim = property(lambda self: self.dims[1])
+    hidden_dim = property(lambda self: self.dims[2])
+    n_labels = property(lambda self: self.dims[3])
+    n_experts = property(lambda self: self.dims[4])
 
-    @property
-    def embed_dim(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.enc_proj.shape[1]
-
-    @property
-    def n_labels(self) -> int:
-        return self.label_queries.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.expert_w.shape[0]
-
-    # Array order here is also the checkpoint serialization order.
     def named_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "embedding": self.embedding,
-            "enc_proj": self.enc_proj,
-            "enc_bias": self.enc_bias,
-            "label_queries": self.label_queries,
-            "expert_w": self.expert_w,
-            "expert_b": self.expert_b,
-            "gate_w": self.gate_w,
-            "gate_bias": self.gate_bias,
-        }
+        return {name: getattr(self, name) for name in param_shapes(*self.dims)}
 
     def with_arrays(self, arrays: dict) -> "ModelParams":
-        return ModelParams(**{k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
+        """New parameters of these dims, from one array per name."""
+        shapes = param_shapes(*self.dims)
+        got = {name: np.shape(a) for name, a in arrays.items()}
+        if got != shapes:
+            raise DimensionError(f"expected arrays of shapes {shapes}, got {got}")
+        return ModelParams(self.dims, np.concatenate([np.ravel(arrays[k]) for k in shapes]))
 
     def copy(self) -> "ModelParams":
-        return self.with_arrays({k: v.copy() for k, v in self.named_arrays().items()})
+        return ModelParams(self.dims, self.flat.copy())
 
 
 def init_params(
@@ -116,16 +119,12 @@ def init_params(
     rng = np.random.default_rng(seed)
     proj_bound = np.sqrt(6.0 / (embed_dim + hidden_dim))
     row_bound = np.sqrt(6.0 / (hidden_dim + 1))  # per-label linear functionals
-    return ModelParams(
-        embedding=rng.uniform(-0.1, 0.1, size=(vocab_size, embed_dim)),
-        enc_proj=rng.uniform(-proj_bound, proj_bound, size=(embed_dim, hidden_dim)),
-        enc_bias=np.zeros(hidden_dim),
-        label_queries=rng.uniform(-row_bound, row_bound, size=(n_labels, hidden_dim)),
-        expert_w=rng.uniform(-row_bound, row_bound, size=(n_experts, n_labels, hidden_dim)),
-        expert_b=np.zeros((n_experts, n_labels)),
-        gate_w=np.zeros((hidden_dim, n_experts)),
-        gate_bias=np.zeros(n_experts),
-    )
+    params = ModelParams((vocab_size, embed_dim, hidden_dim, n_labels, n_experts))
+    params.embedding[:] = rng.uniform(-0.1, 0.1, size=params.embedding.shape)
+    params.enc_proj[:] = rng.uniform(-proj_bound, proj_bound, size=params.enc_proj.shape)
+    params.label_queries[:] = rng.uniform(-row_bound, row_bound, size=params.label_queries.shape)
+    params.expert_w[:] = rng.uniform(-row_bound, row_bound, size=params.expert_w.shape)
+    return params
 
 
 def _validate_ids(params: ModelParams, ids: np.ndarray) -> None:
@@ -190,8 +189,8 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     )
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays().items()}
+def zero_grads(params: ModelParams) -> ModelParams:
+    return ModelParams(params.dims)
 
 
 def backward_batch(

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,9 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     if not want_grads:
         return total, parts, None
     grads = M.zero_grads(params)
-    M.backward_batch(params, full, gk, cfg.beta * ge, grads)
+    M.backward_batch(params, full, gk, cfg.beta * ge, grads.named_arrays())
     if cfg.alpha != 0.0:
-        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads)
+        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads.named_arrays())
     return total, parts, grads
 
 
@@ -108,7 +108,7 @@ def loss_and_grads(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabul
                    label_space: LabelSpace, max_len: int = M.DEFAULT_MAX_LEN):
     """(total loss, {array name: gradient}) for one batch."""
     loss, _, grads = _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads=True)
-    return loss, grads
+    return loss, grads.named_arrays()
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -126,31 +126,39 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam moments over params.flat, and two scratch vectors for the update."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple
     t: int = 0
 
     @classmethod
     def for_params(cls, params: M.ModelParams) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in params.named_arrays().items()},
-            v={k: np.zeros_like(a) for k, a in params.named_arrays().items()},
-        )
+        n = params.flat.size
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(n), np.empty(n)))
 
 
-def adam_step(params: M.ModelParams, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update, in place on params.flat, in the
+    operation order of flat -= (lr * (m / c1)) / (sqrt(v / c2) + eps)."""
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
-    for name, arr in params.named_arrays().items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / correct1
-        v_hat = state.v[name] / correct2
-        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    g, m, v = grads.flat, state.m, state.v
+    step, denom = state.scratch
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    np.multiply(g, g, out=step)
+    v += np.multiply(step, 1.0 - b2, out=step)
+    np.divide(m, correct1, out=step)
+    step *= cfg.learning_rate
+    np.sqrt(np.divide(v, correct2, out=denom), out=denom)
+    denom += cfg.adam_eps
+    step /= denom
+    params.flat -= step
 
 
 def dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
@@ -191,7 +199,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
             loss, parts, grads = _batch_loss(batch, params, cfg, vocab, label_space, max_len, want_grads=True)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size}")
-            clip_gradients(grads, cfg.grad_clip_norm)
+            clip_gradients(grads.named_arrays(), cfg.grad_clip_norm)
             adam_step(params, grads, state, cfg)
             sums["loss"] += loss * len(batch)
             for k in parts:
@@ -222,11 +230,11 @@ def selected_epoch(log) -> int:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: b"DECI", u32 version, five u32 dims (vocab, d_e, d_h,
-# n_labels, n_experts), the parameter arrays row-major little-endian float32
-# in named_arrays() order, then a u32-length-prefixed UTF-8 JSON blob with the
-# vocabulary, label space, max_len, a config echo, and "gate_per_label": true.
-# That last field is constant: the gate is always per label, and a checkpoint
-# that says otherwise is refused.
+# n_labels, n_experts), ModelParams.flat as little-endian float32 (the arrays
+# row-major in model.param_shapes order), then a u32-length-prefixed UTF-8
+# JSON blob with the vocabulary, label space, max_len, a config echo, and
+# "gate_per_label": true. That last field is constant: the gate is always
+# per label, and a checkpoint that says otherwise is refused.
 # ---------------------------------------------------------------------------
 
 
@@ -237,19 +245,6 @@ class Checkpoint:
     label_space: LabelSpace
     max_len: int
     config: dict
-
-
-def _array_shapes(vocab_size, d_e, d_h, n_labels, n_experts):
-    return {
-        "embedding": (vocab_size, d_e),
-        "enc_proj": (d_e, d_h),
-        "enc_bias": (d_h,),
-        "label_queries": (n_labels, d_h),
-        "expert_w": (n_experts, n_labels, d_h),
-        "expert_b": (n_experts, n_labels),
-        "gate_w": (d_h, n_experts),
-        "gate_bias": (n_experts,),
-    }
 
 
 def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
@@ -263,15 +258,13 @@ def save_checkpoint(path, params: M.ModelParams, vocab: Vocabulary, label_space:
         "config": config or {},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    dims = (params.vocab_size, params.embed_dim, params.hidden_dim, params.n_labels, params.n_experts)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<5I", *dims))
-            for arr in params.named_arrays().values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack("<5I", *params.dims))
+            fh.write(params.flat.astype("<f4").tobytes())
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             fh.flush()
@@ -308,11 +301,11 @@ def load_checkpoint(path) -> Checkpoint:
     dims = struct.unpack("<5I", take(20, "dimensions"))
     if min(dims) < 1:
         raise FormatError(f"non-positive dimension in header: {dims}")
-    arrays = {}
-    for name, shape in _array_shapes(*dims).items():
-        count = math.prod(shape)  # Python ints: a forged header cannot wrap it
-        raw = take(4 * count, f"array {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    # Python ints, checked by take before any allocation: a forged header cannot wrap it
+    count = sum(math.prod(shape) for shape in M.param_shapes(*dims).values())
+    flat = np.frombuffer(take(4 * count, "parameters"), dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise FormatError("non-finite parameter value in checkpoint")
     (blob_len,) = struct.unpack("<I", take(4, "metadata length"))
     blob = bytes(take(blob_len, "metadata"))
     if pos != len(data):
@@ -326,7 +319,7 @@ def load_checkpoint(path) -> Checkpoint:
     label_space = LabelSpace(meta["labels"])
     if vocab.size != dims[0] or len(label_space) != dims[3]:
         raise FormatError("metadata vocabulary/label sizes disagree with header dimensions")
-    return Checkpoint(params=M.ModelParams(**arrays), vocab=vocab, label_space=label_space,
+    return Checkpoint(params=M.ModelParams(dims, flat), vocab=vocab, label_space=label_space,
                       max_len=meta["max_len"], config=meta.get("config", {}))
 
 

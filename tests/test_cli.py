@@ -6,6 +6,7 @@ directly. A small corpus and model keep the whole module fast.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import deci
 from deci import training
 from deci.cli import DEFAULTS, main
 from deci.corpus import load_jsonl
+from deci.errors import ParseError
 from deci.training import load_checkpoint
 
 SRC_DIR = str(Path(deci.__file__).resolve().parent.parent)
@@ -286,6 +288,63 @@ def test_predict_rejects_malformed_jsonl(pipeline, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{broken\n")
     assert main(["predict", "--run.dir", str(run), str(path)]) == 2
+
+
+def test_predict_refuses_a_non_finite_checkpoint(pipeline, tmp_path, capsys):
+    data, run = pipeline
+    params = load_checkpoint(run / "checkpoint.deci").params
+    at = 28 + 4 * (params.embedding.size + params.enc_proj.size)  # the first enc_bias float
+    blob = (run / "checkpoint.deci").read_bytes()
+    bad_run = tmp_path / "run"
+    bad_run.mkdir()
+    (bad_run / "checkpoint.deci").write_bytes(blob[:at] + struct.pack("<f", float("nan")) + blob[at + 4:])
+    capsys.readouterr()
+    assert main(["predict", "--run.dir", str(bad_run), str(data / "test.jsonl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: non-finite")
+
+
+def test_non_utf8_notes_exit_two_naming_the_line(pipeline, tmp_path, capsys):
+    _, run = pipeline
+    rec = json.dumps({"id": "a", "text": "k000w0 cafe", "age": 70, "gender": "M"}).encode()
+    notes = tmp_path / "notes.jsonl"
+    notes.write_bytes(rec + b"\n" + rec.replace(b"cafe", b"caf\xe9") + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(notes)
+    assert exc.value.line_number == 2
+    capsys.readouterr()
+    assert main(["predict", "--run.dir", str(run), str(notes)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+
+def test_train_rejects_labels_that_are_not_utf8(pipeline, tmp_path, capsys):
+    data, _ = pipeline
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for name in ("train.jsonl", "dev.jsonl"):
+        (bad / name).write_bytes((data / name).read_bytes())
+    (bad / "labels.txt").write_bytes((data / "labels.txt").read_bytes() + b"C\xff\n")
+    capsys.readouterr()
+    assert main(["train", *TINY, "--data.dir", str(bad), "--run.dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_out_naming_a_file_exits_two_and_writes_nothing(pipeline, tmp_path, capsys, command):
+    data, _ = pipeline
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    # with a missing data dir, train still reports the out path: it checks
+    # that path before it loads any data
+    for data_dir in (data, tmp_path / "absent"):
+        capsys.readouterr()
+        assert main([command, *TINY, "--data.dir", str(data_dir), "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(afile) in err
+    assert afile.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_usage_errors_exit_one(capsys):

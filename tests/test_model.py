@@ -447,7 +447,7 @@ def test_matmul_formulation_matches_einsum_reference():
         p, ids = random_case(rng, i)
         B, L = ids.shape[0], p.n_labels
         d_gated, d_uniform = rng.normal(size=(B, L)), rng.normal(size=(B, L))
-        start = zero_grads(p)
+        start = zero_grads(p).named_arrays()
         if i % 2:  # the demographic branch adds onto the full branch's gradients
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         compare_with_einsum(p, ids, d_gated, d_uniform, start)
@@ -466,7 +466,7 @@ def test_embedding_gradient_matches_add_at(params, vocab, onto_nonzero):
     ]
     for ids in batches:
         B = ids.shape[0]
-        start = zero_grads(p)
+        start = zero_grads(p).named_arrays()
         if onto_nonzero:
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         grads = compare_with_einsum(p, ids, rng.normal(size=(B, 5)), rng.normal(size=(B, 5)), start)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from deci.corpus import (
     generate_synthetic,
     synthetic_label_space,
 )
-from deci.errors import ConfigError, FormatError, NumericalError
-from deci.model import init_params, pathway_scores_batch
+from deci.errors import ConfigError, DimensionError, FormatError, NumericalError
+from deci.model import ModelParams, init_params, param_shapes, pathway_scores_batch
 from deci.numerics import sigmoid
 from deci.training import (
     AdamState,
@@ -175,7 +176,7 @@ def test_adam_first_step_is_signed_lr(tiny_world):
     # at t=1 the bias-corrected update is lr * g / (|g| + eps) ~ lr * sign(g)
     _, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=1)
-    grads = {k: np.ones_like(v) for k, v in params.named_arrays().items()}
+    grads = params.with_arrays({k: np.ones_like(v) for k, v in params.named_arrays().items()})
     before = {k: v.copy() for k, v in params.named_arrays().items()}
     cfg = TrainConfig(learning_rate=1e-3)
     state = AdamState.for_params(params)
@@ -183,6 +184,83 @@ def test_adam_first_step_is_signed_lr(tiny_world):
     assert state.t == 1
     for k, arr in params.named_arrays().items():
         np.testing.assert_allclose(before[k] - arr, 1e-3, rtol=1e-6)
+
+
+def reference_adam_step(params, grads: dict, state, cfg) -> None:
+    """The per-array Adam update that the flat, in-place adam_step replaced,
+    kept verbatim as its oracle."""
+    state.t += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    correct1 = 1.0 - b1 ** state.t
+    correct2 = 1.0 - b2 ** state.t
+    for name, arr in params.named_arrays().items():
+        g = grads[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m_hat = state.m[name] / correct1
+        v_hat = state.v[name] / correct2
+        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("lr, beta1, beta2", [(1e-3, 0.9, 0.999), (0.05, 0.5, 0.9)])
+def test_flat_adam_matches_the_per_array_reference_bitwise(tiny_world, lr, beta1, beta2):
+    _, _, vocab, labels = tiny_world
+    cfg = TrainConfig(learning_rate=lr, adam_beta1=beta1, adam_beta2=beta2)
+    params = tiny_params(vocab, labels, seed=4)
+    ref = params.copy()
+    state = AdamState.for_params(params)
+    ref_state = SimpleNamespace(
+        t=0,
+        m={k: np.zeros_like(a) for k, a in ref.named_arrays().items()},
+        v={k: np.zeros_like(a) for k, a in ref.named_arrays().items()},
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        # gradients over many scales, with exact zeros as in unseen embedding rows
+        g = rng.normal(size=params.flat.size) * 10.0 ** rng.integers(-8, 4, size=params.flat.size)
+        g[rng.random(g.size) < 0.3] = 0.0
+        grads = ModelParams(params.dims, g)
+        adam_step(params, grads, state, cfg)
+        reference_adam_step(ref, {k: a.copy() for k, a in grads.named_arrays().items()}, ref_state, cfg)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        for flat, per_array in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert flat.tobytes() == np.concatenate([a.ravel() for a in per_array.values()]).tobytes()
+    assert state.t == ref_state.t == 60
+
+
+def test_params_are_views_of_one_flat_vector(tiny_world, tmp_path):
+    _, _, vocab, labels = tiny_world
+    params = tiny_params(vocab, labels, seed=5)
+    shapes = param_shapes(*params.dims)
+    arrays = params.named_arrays()
+    assert list(arrays) == list(shapes)
+    start = 0
+    for name, shape in shapes.items():
+        assert arrays[name].shape == shape and np.shares_memory(arrays[name], params.flat), name
+        size = math.prod(shape)
+        np.testing.assert_array_equal(arrays[name].ravel(), params.flat[start: start + size])
+        start += size
+    assert start == params.flat.size
+    # writing flat writes the named views
+    params.flat[:] = np.arange(params.flat.size)
+    assert params.embedding[0, 1] == 1.0
+    assert params.gate_bias[-1] == params.flat.size - 1
+    # the checkpoint holds flat as float32, between the 28-byte header and the metadata
+    path = tmp_path / "m.deci"
+    save_checkpoint(path, params, vocab, labels, max_len=8)
+    blob = path.read_bytes()
+    want = params.flat.astype("<f4").tobytes()
+    assert metadata_offset(blob) == 28 + len(want)
+    assert blob[28: 28 + len(want)] == want
+    # with_arrays takes exactly one array of the right shape per name
+    for bad in (
+        {k: a for k, a in arrays.items() if k != "gate_bias"},
+        {**arrays, "extra": np.zeros(1)},
+        {**arrays, "enc_bias": np.zeros(params.hidden_dim + 1)},
+        {**arrays, "expert_w": arrays["expert_w"].transpose(0, 2, 1)},
+    ):
+        with pytest.raises(DimensionError):
+            params.with_arrays(bad)
 
 
 def test_train_zero_lr_is_a_no_op(tiny_world):
@@ -359,6 +437,11 @@ def test_checkpoint_truncation_and_trailing_bytes(tiny_world, tmp_path):
     bad.write_bytes(blob[:8] + struct.pack("<5I", 2**32 - 1, 2**32 - 1, 1, 1, 1) + blob[28:])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(bad)
+    # a non-finite parameter is a format error, not a model that scores NaN
+    for value in (math.nan, math.inf):
+        bad.write_bytes(blob[:28] + struct.pack("<f", value) + blob[32:])
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(bad)
 
 
 def metadata_offset(checkpoint: bytes) -> int:
