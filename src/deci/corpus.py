@@ -10,6 +10,7 @@ import json
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ class Vocabulary:
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary."""
-    return [vocab.id(t) for t in _WORD_RE.findall(text.lower())]
+    return list(map(vocab._token_to_id.get, _WORD_RE.findall(text.lower()), repeat(UNK_ID)))
 
 
 def age_bucket(age: int) -> str:

@@ -261,17 +261,25 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
 
 
 def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_size: int = 256):
-    """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for a document list."""
-    zk, zd, ze = [], [], []
+    """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for a document list.
+
+    Rows are forwarded longest first, batch_size at a time, so each chunk's
+    full view is only as wide as its first row. The stable order keeps input
+    order among equal lengths, so where every row fills the window the chunks
+    are consecutive input rows. Scores are returned in input order.
+    """
+    if not batch_size >= 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    zk, zd, ze = (np.empty((len(docs), params.n_labels)) for _ in range(3))
+    if not docs:
+        return zk, zd, ze
+    full_ids, demo_ids = batch_inputs(docs, vocab, max_len)
+    # PAD only trails a row, so its non-PAD count is its width
+    lengths = (full_ids != PAD_ID).sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
     for lo in range(0, len(docs), batch_size):
-        chunk = docs[lo: lo + batch_size]
-        full_ids, demo_ids = batch_inputs(chunk, vocab, max_len)
-        full = forward_batch(params, full_ids)
-        demo = forward_batch(params, demo_ids)
-        zk.append(full.gated)
-        zd.append(demo.gated)
-        ze.append(full.uniform)
-    if not zk:
-        empty = np.zeros((0, params.n_labels))
-        return empty, empty.copy(), empty.copy()
-    return np.concatenate(zk), np.concatenate(zd), np.concatenate(ze)
+        rows = order[lo: lo + batch_size]
+        full = forward_batch(params, full_ids[rows, :lengths[rows[0]]])
+        demo = forward_batch(params, demo_ids[rows])
+        zk[rows], ze[rows], zd[rows] = full.gated, full.uniform, demo.gated
+    return zk, zd, ze

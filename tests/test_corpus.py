@@ -8,6 +8,7 @@ internals.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ def test_tokenize_empty_and_padding(small_vocab):
     assert tokenize("", small_vocab) == []
     assert tokenize("aspirin", small_vocab) == [small_vocab.id("aspirin")]
     assert len(tokenize("aspirin " * 300, small_vocab)) == 300
+
+
+def test_tokenize_matches_per_word_lookup():
+    # tokenize looks ids up in one pass; it must equal one Vocabulary.id call
+    # per lowercased alphanumeric word, unknown words included
+    rng = np.random.default_rng(5)
+    known = [f"w{i}" for i in range(30)]
+    vocab = Vocabulary(known)
+    pool = known + ["zz1", "Unknown", "W3", "W12x", "ASPIRIN", "7"]
+    for _ in range(200):
+        words = rng.choice(pool, size=rng.integers(0, 25))
+        seps = rng.choice([" ", ", ", ".", "-", "\t", "/", " (", ") "], size=len(words))
+        text = "".join(w + s for w, s in zip(words, seps))
+        want = [vocab.id(t) for t in re.findall(r"[a-z0-9]+", text.lower())]
+        assert tokenize(text, vocab) == want
+        assert all(type(i) is int for i in tokenize(text, vocab))
 
 
 def test_age_bucket_boundaries():

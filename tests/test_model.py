@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from deci import model
 from deci.corpus import PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_model_input
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
@@ -292,6 +293,68 @@ def test_forward_batch_matches_per_document(params, vocab):
         np.testing.assert_allclose(zk[i], gated, atol=1e-12)
         np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
         np.testing.assert_allclose(ze[i], uniform, atol=1e-12)
+
+
+def notes_of_lengths(n_words, seed=0):
+    """One note per entry with that many in-vocabulary words, demographics varied."""
+    rng = np.random.default_rng(seed)
+    return [Document(id=f"d{i}", text=" ".join(f"w{j}" for j in rng.integers(0, 12, size=n)),
+                     age=int(rng.integers(0, 100)), gender=("M", "F")[i % 2])
+            for i, n in enumerate(n_words)]
+
+
+def test_scoring_chunks_are_as_wide_as_their_longest_note(params, vocab, monkeypatch):
+    # rows of 3, 9, 3, 9 and 5 non-PAD ids: the two demographic ids plus the words
+    docs = notes_of_lengths([1, 7, 1, 7, 3])
+    widths = []
+
+    def spy(p, ids):
+        if ids.shape[1] > 2:  # the demographic view is always two columns
+            widths.append(ids.shape[1])
+        return forward_batch(p, ids)
+
+    monkeypatch.setattr(model, "forward_batch", spy)
+    pathway_scores_batch(params, docs, vocab, max_len=12, batch_size=2)
+    assert widths == [9, 5, 3]  # input order would forward widths [9, 9, 5]
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 256])
+def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
+    p = randomized(params, 24)
+    # ties, an empty note, and notes truncated by the window
+    docs = notes_of_lengths([4, 0, 9, 4, 2, 7, 4, 12, 1, 0, 6], seed=1)
+    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=9, batch_size=batch_size)
+    for i, doc in enumerate(docs):
+        row = build_model_input(doc, vocab, 9)
+        gated, uniform = reference_pathways(p, row)
+        np.testing.assert_allclose(zk[i], gated, atol=1e-12)
+        np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
+        np.testing.assert_allclose(ze[i], uniform, atol=1e-12)
+    perm = np.random.default_rng(2).permutation(len(docs))
+    for got, want in zip(pathway_scores_batch(p, [docs[i] for i in perm], vocab, 9, batch_size),
+                         (zk, zd, ze)):
+        np.testing.assert_allclose(got, want[perm], rtol=0, atol=1e-12)
+
+
+def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab):
+    # every note fills the window: the stable order is the identity, so each
+    # row is bitwise what forward_batch gives on consecutive input-order chunks
+    p = randomized(params, 25)
+    docs = notes_of_lengths([9, 6, 14, 6, 8, 11, 7], seed=3)
+    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8, batch_size=3)
+    for lo in range(0, len(docs), 3):
+        full_ids, demo_ids = batch_inputs(docs[lo: lo + 3], vocab, 8)
+        full, demo = forward_batch(p, full_ids), forward_batch(p, demo_ids)
+        np.testing.assert_array_equal(zk[lo: lo + 3], full.gated)
+        np.testing.assert_array_equal(zd[lo: lo + 3], demo.gated)
+        np.testing.assert_array_equal(ze[lo: lo + 3], full.uniform)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_scoring_rejects_a_batch_size_below_one(params, vocab, batch_size):
+    docs = notes_of_lengths([3] * 16)
+    with pytest.raises(ConfigError, match="batch_size"):
+        pathway_scores_batch(params, docs, vocab, max_len=8, batch_size=batch_size)
 
 
 def test_forward_batch_attention_rows(params, vocab):
