@@ -31,7 +31,7 @@ from .errors import (
     ParseError, ValidationError,
 )
 from .evaluation import InferenceMode, final_scores_from_z, run_ablation
-from .model import ModelConfig, ModelParams, init_params, pathway_scores_batch
+from .model import ModelConfig, init_params, pathway_scores_batch
 from .training import (
     TrainConfig, dev_metrics, load_checkpoint, save_checkpoint, selected_epoch, train,
 )
@@ -242,8 +242,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
             fh.write(json.dumps(record) + "\n")
     save_checkpoint(out_dir / "checkpoint.deci", best, vocab, label_space,
                     max_len=mcfg.max_len, config=cfg.echo())
-    # report the model the checkpoint holds: the selected epoch, cast to float32
-    saved = ModelParams(best.dims, best.flat.astype(np.float32))
+    # report the model the checkpoint holds: the selected epoch, as read back
+    saved = load_checkpoint(out_dir / "checkpoint.deci").params
     final_dev = dev_metrics(dev_docs, saved, vocab, label_space, mcfg.max_len) if dev_docs else None
     summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
     _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo(), **summary})
@@ -259,15 +259,17 @@ def _mode_from(cfg: RunConfig) -> InferenceMode:
         raise ConfigError(f"unknown eval mode {cfg['eval.mode']!r}; expected one of: {valid}") from None
 
 
-def _confounded_label_name(cfg: RunConfig, label_space: LabelSpace) -> str | None:
+def _confounded_label_name(cfg: RunConfig, label_space: LabelSpace) -> str:
     idx = cfg["data.confounded_label"]
     if not 0 <= idx < len(label_space):
-        return None
+        raise ConfigError(f"data.confounded_label must index one of the checkpoint's "
+                          f"{len(label_space)} labels, got {idx}")
     return label_space.labels[idx]
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     ckpt = load_checkpoint(Path(cfg["run.dir"]) / "checkpoint.deci")
+    confounded_label = _confounded_label_name(cfg, ckpt.label_space)
     data_dir = Path(cfg["data.dir"])
     labels_path = data_dir / "labels.txt"
     if labels_path.exists() and LabelSpace.from_file(labels_path) != ckpt.label_space:
@@ -276,7 +278,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     modes = tuple(InferenceMode) if args.ablate else (_mode_from(cfg),)
     reports = run_ablation(docs, ckpt.params, ckpt.vocab, ckpt.label_space,
                            ks=tuple(cfg["eval.ks"]), max_len=ckpt.max_len,
-                           confounded_label=_confounded_label_name(cfg, ckpt.label_space),
+                           confounded_label=confounded_label,
                            confound_attribute=cfg["data.confound_attribute"], modes=modes)
     if args.ablate:
         _print_ablation_table(reports)

@@ -227,7 +227,7 @@ def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -
 
 
 def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-                 ks: tuple[int, ...] = (5,), max_len: int = M.DEFAULT_MAX_LEN,
+                 ks: tuple[int, ...] = (5,), max_len: int = M.ModelConfig.max_len,
                  confounded_label: str | None = None,
                  confound_attribute: str = SyntheticConfig.confound_attribute,
                  modes: tuple[InferenceMode, ...] = tuple(InferenceMode)) -> dict[str, EvalReport]:
@@ -257,7 +257,7 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
 
 def evaluate(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
              mode: InferenceMode = InferenceMode.DECI, ks: tuple[int, ...] = (5,),
-             max_len: int = M.DEFAULT_MAX_LEN, confounded_label: str | None = None,
+             max_len: int = M.ModelConfig.max_len, confounded_label: str | None = None,
              confound_attribute: str = SyntheticConfig.confound_attribute) -> EvalReport:
     """The run_ablation report for a single mode."""
     return run_ablation(docs, params, vocab, label_space, ks=ks, max_len=max_len,

@@ -19,12 +19,6 @@ import numpy as np
 from .corpus import PAD_ID, Vocabulary, build_model_input
 from .errors import ConfigError, DimensionError
 
-# Generic input window for real notes. The bundled synthetic experiment runs
-# at a much smaller window (ModelConfig.max_len = 16) so that part of the
-# keyword evidence is truncated away; see corpus.SyntheticConfig.
-DEFAULT_MAX_LEN = 256
-
-
 @dataclass
 class ModelConfig:
     """Architecture and input window of the bundled experiment."""
@@ -189,22 +183,19 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     )
 
 
-def zero_grads(params: ModelParams) -> ModelParams:
-    return ModelParams(params.dims)
-
-
 def backward_batch(
     params: ModelParams,
     br: BatchBranch,
     d_gated: np.ndarray,
     d_uniform: np.ndarray,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams,
 ) -> None:
-    """Accumulate parameter gradients for one branch into grads.
+    """Add one branch's parameter gradients into the views of grads, in place.
 
     d_gated and d_uniform are (B, L) gradients of the loss with respect to
     this branch's gated and uniform mixtures. Every contraction is a matmul:
     2-D over the (B*L) or (B*N) rows, or batched over B or over the labels.
+    The embedding rows are scatter-added with np.add.at.
     """
     L, F = params.n_labels, params.n_experts
     d_e, d_h = params.embed_dim, params.hidden_dim
@@ -212,41 +203,29 @@ def backward_batch(
 
     dS = d_gated[..., None] * G + (d_uniform / F)[..., None]
     dS_by_label = dS.transpose(1, 0, 2)  # (L, B, F)
-    grads["expert_w"] += (dS_by_label.transpose(0, 2, 1) @ H.transpose(1, 0, 2)).transpose(1, 0, 2)
-    grads["expert_b"] += dS.sum(axis=0).T
+    grads.expert_w += (dS_by_label.transpose(0, 2, 1) @ H.transpose(1, 0, 2)).transpose(1, 0, 2)
+    grads.expert_b += dS.sum(axis=0).T
     dH = np.empty_like(H)  # C-contiguous, for the batched products below
     np.matmul(dS_by_label, params.expert_w.transpose(1, 0, 2), out=dH.transpose(1, 0, 2))
 
     dG = d_gated[..., None] * S
     dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
-    grads["gate_w"] += H.reshape(-1, d_h).T @ dglog.reshape(-1, F)
-    grads["gate_bias"] += dglog.sum(axis=(0, 1))
+    grads.gate_w += H.reshape(-1, d_h).T @ dglog.reshape(-1, F)
+    grads.gate_bias += dglog.sum(axis=(0, 1))
     dH += dglog @ params.gate_w.T
 
     A, E = br.attention, br.encoded
     dA = dH @ E.transpose(0, 2, 1)
     dE = A.transpose(0, 2, 1) @ dH
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
-    grads["label_queries"] += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
+    grads.label_queries += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
     dE += dalog.transpose(0, 2, 1) @ params.label_queries
 
     dU = dE * (1.0 - E * E)  # tanh'; PAD rows of dE are ±0, as attention is 0 there
-    grads["enc_proj"] += br.embedded.reshape(-1, d_e).T @ dU.reshape(-1, d_h)
-    grads["enc_bias"] += dU.sum(axis=(0, 1))
+    grads.enc_proj += br.embedded.reshape(-1, d_e).T @ dU.reshape(-1, d_h)
+    grads.enc_bias += dU.sum(axis=(0, 1))
     dX = dU.reshape(-1, d_h) @ params.enc_proj.T
-    _add_rows(grads["embedding"], br.token_ids.ravel(), dX)
-
-
-def _add_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """target[ids[i]] += rows[i] for every i, touching only the rows of ids.
-
-    A stable sort groups equal ids with their rows in input order, and
-    np.add.reduceat sums each group before the one add into target.
-    """
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-    target[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+    np.add.at(grads.embedding, br.token_ids.ravel(), dX)
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:

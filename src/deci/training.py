@@ -90,37 +90,34 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     parts = {"loss_k": loss_k, "loss_d": loss_d, "loss_e": loss_e}
     if not want_grads:
         return total, parts, None
-    grads = M.zero_grads(params)
-    M.backward_batch(params, full, gk, cfg.beta * ge, grads.named_arrays())
+    grads = M.ModelParams(params.dims)
+    M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:
-        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads.named_arrays())
+        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads)
     return total, parts, grads
 
 
 def total_loss(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
-               label_space: LabelSpace, max_len: int = M.DEFAULT_MAX_LEN) -> float:
+               label_space: LabelSpace, max_len: int = M.ModelConfig.max_len) -> float:
     """Mean over the batch of the three-term objective."""
     loss, _, _ = _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads=False)
     return loss
 
 
 def loss_and_grads(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
-                   label_space: LabelSpace, max_len: int = M.DEFAULT_MAX_LEN):
+                   label_space: LabelSpace, max_len: int = M.ModelConfig.max_len):
     """(total loss, {array name: gradient}) for one batch."""
     loss, _, grads = _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads=True)
     return loss, grads.named_arrays()
 
 
-def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale grads in place to a global L2 norm of max_norm; returns the raw norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+def clip_gradients(grads: M.ModelParams, max_norm: float) -> float:
+    """Scale grads.flat in place to an L2 norm of max_norm; returns the raw norm."""
+    g = grads.flat
+    # numpy's own pairwise sum, not a BLAS dot, whose split may follow the thread count
+    norm = float(np.sqrt((g * g).sum()))
     if norm > max_norm:
-        factor = max_norm / norm
-        for g in grads.values():
-            g *= factor
+        g *= max_norm / norm
     return norm
 
 
@@ -172,7 +169,7 @@ def dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
 
 
 def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
-          label_space: LabelSpace, cfg: TrainConfig, max_len: int = M.DEFAULT_MAX_LEN):
+          label_space: LabelSpace, cfg: TrainConfig, max_len: int = M.ModelConfig.max_len):
     """Mini-batch Adam over the joint objective.
 
     Returns (best_params, epoch_log). best_params are the parameters after
@@ -199,7 +196,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
             loss, parts, grads = _batch_loss(batch, params, cfg, vocab, label_space, max_len, want_grads=True)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size}")
-            clip_gradients(grads.named_arrays(), cfg.grad_clip_norm)
+            clip_gradients(grads, cfg.grad_clip_norm)
             adam_step(params, grads, state, cfg)
             sums["loss"] += loss * len(batch)
             for k in parts:

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import deci.cli  # noqa: F401  (imports every layer module)
+from deci.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,3 +35,29 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert _deci_bindings() == before
+
+
+def test_traced_train_counts_clipping_backward_and_steps(monkeypatch, tmp_path):
+    # the tracer reads backward_batch's branch from args[1] and the clip
+    # bound from clip_gradients' args[1]; a tiny train run exercises both
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    small = ["--data.n_labels", "4", "--data.vocab_size", "60", "--data.n_train", "40",
+             "--data.n_dev", "8", "--data.n_test", "0", "--model.embed_dim", "6",
+             "--model.hidden_dim", "6", "--model.n_experts", "2", "--train.epochs", "1"]
+    data = tmp_path / "data"
+    assert main(["gen-data", *small, "--out", str(data)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["train", *small, "--train.grad_clip_norm", "1e-9", "--data.dir", str(data),
+                     "--run.dir", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = {name: m["value"] for name, m in tracer.metrics(1.0, 0.0).items()}
+    steps = 2  # 40 notes, batches of 32
+    assert metrics["training.clip_gradients.calls"] == steps
+    assert metrics["training.clipped_ratio"] == 1.0
+    assert metrics["model.backward_batch.full.calls"] == steps
+    assert metrics["model.backward_batch.demo.calls"] == steps
+    assert metrics["training.step_ms_p50"] > 0

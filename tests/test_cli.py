@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import deci
-from deci import training
+from deci import cli, training
 from deci.cli import DEFAULTS, main
 from deci.corpus import load_jsonl
 from deci.errors import ParseError
@@ -201,6 +201,27 @@ def test_eval_ablation_json_payload(pipeline, tmp_path, capsys):
 def test_eval_rejects_unknown_mode(pipeline):
     data, run = pipeline
     assert main(["eval", "--mode", "oracle", "--data.dir", str(data), "--run.dir", str(run)]) == 1
+
+
+@pytest.mark.parametrize("index", ["99", "-1", "6"])
+@pytest.mark.parametrize("ablate", [["--ablate"], []], ids=["ablate", "one-mode"])
+def test_eval_rejects_a_confounded_label_outside_the_label_space(
+        pipeline, tmp_path, capsys, monkeypatch, index, ablate):
+    # gen-data refuses these indices too; eval used to drop the FPR gap silently
+    data, run = pipeline
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("documents were scored before the label was checked")
+
+    monkeypatch.setattr(cli, "run_ablation", no_scoring)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", *ablate, "--data.confounded_label", index, "--data.dir", str(data),
+                 "--run.dir", str(run), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: data.confounded_label")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_eval_rejects_missing_checkpoint(pipeline, tmp_path):

@@ -5,6 +5,8 @@ counts and a per-document oracle; F1 against hand counts; the mode algebra
 against its exact reduction identities.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from deci.evaluation import (
     roc_auc,
     run_ablation,
 )
-from deci.model import init_params
+from deci.model import ModelConfig, init_params
 
 # mpmath: sigmoid(2) and sigmoid(sigmoid(2) - sigmoid(0))
 SIGMOID_2 = 0.88079707797788244406
@@ -289,6 +291,21 @@ def test_run_ablation_covers_all_modes(eval_world):
     solo = evaluate(docs, params, vocab, labels, max_len=10,
                     confounded_label="C000", mode=InferenceMode.NAIVE)
     assert solo.to_dict() == table["naive"].to_dict()
+
+
+def test_max_len_defaults_to_the_model_config_window(eval_world):
+    docs, params, vocab, labels = eval_world
+    # 24 words a note, so a window of 16 truncates every one of them
+    long_docs = [replace(d, text=" ".join([d.text] * 3)) for d in docs]
+    assert min(len(d.text.split()) for d in long_docs) > ModelConfig.max_len
+    window = ModelConfig.max_len
+    table = run_ablation(long_docs, params, vocab, labels, confounded_label="C000")
+    want = run_ablation(long_docs, params, vocab, labels, max_len=window, confounded_label="C000")
+    assert {m: r.to_dict() for m, r in table.items()} == {m: r.to_dict() for m, r in want.items()}
+    report = evaluate(long_docs, params, vocab, labels, confounded_label="C000")
+    assert report.to_dict() == want["deci"].to_dict()
+    wider = evaluate(long_docs, params, vocab, labels, max_len=32, confounded_label="C000")
+    assert wider.to_dict() != report.to_dict()
 
 
 @pytest.mark.parametrize("ks", [(0,), (1, 7)])

@@ -18,8 +18,8 @@ from deci.corpus import PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_mod
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
 from deci.model import (
-    BatchBranch, ModelConfig, backward_batch, batch_inputs, forward_batch, init_params,
-    pathway_scores_batch, zero_grads,
+    BatchBranch, ModelConfig, ModelParams, backward_batch, batch_inputs, forward_batch,
+    init_params, pathway_scores_batch,
 )
 from deci.numerics import sigmoid
 
@@ -471,17 +471,20 @@ def assert_close_to_reference(new, ref, what):
 
 
 def compare_with_einsum(p, ids, d_gated, d_uniform, start_grads):
-    """Run both formulations from the same inputs and compare every array."""
+    """Run both formulations from the same inputs and compare every array.
+
+    start_grads is one array per name; backward_batch adds onto a ModelParams
+    built from it, the einsum reference onto copies of the arrays."""
     new, ref = forward_batch(p, ids), einsum_forward_batch(p, ids)
     for name in BatchBranch.__dataclass_fields__:
         assert_close_to_reference(getattr(new, name), getattr(ref, name), name)
-    new_grads = {k: g.copy() for k, g in start_grads.items()}
+    new_grads = p.with_arrays(start_grads)
     ref_grads = {k: g.copy() for k, g in start_grads.items()}
     backward_batch(p, new, d_gated, d_uniform, new_grads)
     einsum_backward_batch(p, ref, d_gated, d_uniform, ref_grads)
-    for name in ref_grads:
-        assert_close_to_reference(new_grads[name], ref_grads[name], f"grad {name}")
-    return new_grads
+    for name, arr in new_grads.named_arrays().items():
+        assert_close_to_reference(arr, ref_grads[name], f"grad {name}")
+    return new_grads.named_arrays()
 
 
 def random_case(rng, i):
@@ -510,7 +513,7 @@ def test_matmul_formulation_matches_einsum_reference():
         p, ids = random_case(rng, i)
         B, L = ids.shape[0], p.n_labels
         d_gated, d_uniform = rng.normal(size=(B, L)), rng.normal(size=(B, L))
-        start = zero_grads(p).named_arrays()
+        start = ModelParams(p.dims).named_arrays()
         if i % 2:  # the demographic branch adds onto the full branch's gradients
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         compare_with_einsum(p, ids, d_gated, d_uniform, start)
@@ -529,13 +532,35 @@ def test_embedding_gradient_matches_add_at(params, vocab, onto_nonzero):
     ]
     for ids in batches:
         B = ids.shape[0]
-        start = zero_grads(p).named_arrays()
+        start = ModelParams(p.dims).named_arrays()
         if onto_nonzero:
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         grads = compare_with_einsum(p, ids, rng.normal(size=(B, 5)), rng.normal(size=(B, 5)), start)
         unseen = np.setdiff1d(np.arange(p.vocab_size), ids)
         # rows of ids absent from the batch are left exactly as they were
         np.testing.assert_array_equal(grads["embedding"][unseen], start["embedding"][unseen])
+
+
+@pytest.mark.parametrize("onto_nonzero", [False, True])
+def test_backward_batch_adds_in_place_into_flat(params, vocab, onto_nonzero):
+    p = randomized(params, 26)
+    rng = np.random.default_rng(27)
+    ids = random_rows(vocab.size, 28, shape=(4, 6))
+    d_gated, d_uniform = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    alone = ModelParams(p.dims)
+    backward_batch(p, forward_batch(p, ids), d_gated, d_uniform, alone)
+    assert alone.flat.any()
+    start = rng.normal(size=p.flat.size) if onto_nonzero else np.zeros(p.flat.size)
+    grads = ModelParams(p.dims, start.copy())
+    buffer = grads.flat
+    backward_batch(p, forward_batch(p, ids), d_gated, d_uniform, grads)
+    # the same buffer, with every view still a window of it, holds start + gradient
+    assert grads.flat is buffer
+    for name, arr in grads.named_arrays().items():
+        assert np.shares_memory(arr, buffer), name
+    np.testing.assert_allclose(buffer, start + alone.flat, rtol=0, atol=1e-12)
+    if not onto_nonzero:
+        np.testing.assert_array_equal(buffer, alone.flat)
 
 
 def test_model_config_validate():

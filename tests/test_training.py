@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from deci.corpus import (
     synthetic_label_space,
 )
 from deci.errors import ConfigError, DimensionError, FormatError, NumericalError
-from deci.model import ModelParams, init_params, param_shapes, pathway_scores_batch
+from deci.model import ModelConfig, ModelParams, init_params, param_shapes, pathway_scores_batch
 from deci.numerics import sigmoid
 from deci.training import (
     AdamState,
@@ -155,21 +156,66 @@ def test_alpha_gates_the_demographic_gradient(tiny_world):
     assert any((with_demo[k] != without[k]).any() for k in with_demo)
 
 
+def one_entry_grads(*values):
+    """Gradients of dims (2, 1, 1, 1, 1), zero except the first len(values)
+    entries of flat: the two embedding rows, then enc_proj."""
+    flat = np.zeros(sum(math.prod(s) for s in param_shapes(2, 1, 1, 1, 1).values()))
+    flat[:len(values)] = values
+    return ModelParams((2, 1, 1, 1, 1), flat)
+
+
 def test_clip_gradients():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+    grads = one_entry_grads(3.0, 0.0, 4.0)
     norm = clip_gradients(grads, 1.0)
     assert norm == pytest.approx(5.0)
-    total = np.sqrt(sum((g * g).sum() for g in grads.values()))
-    assert total == pytest.approx(1.0)
+    assert np.sqrt((grads.flat * grads.flat).sum()) == pytest.approx(1.0)
+    np.testing.assert_allclose(grads.flat[:3], [0.6, 0.0, 0.8])
     # under the cap, arrays are untouched
-    grads = {"a": np.array([0.3])}
-    before = grads["a"].copy()
+    grads = one_entry_grads(0.3)
+    before = grads.flat.copy()
     assert clip_gradients(grads, 1.0) == pytest.approx(0.3)
-    np.testing.assert_array_equal(grads["a"], before)
+    np.testing.assert_array_equal(grads.flat, before)
     # inf disables clipping
-    grads = {"a": np.array([100.0])}
+    grads = one_entry_grads(100.0)
     clip_gradients(grads, math.inf)
-    assert grads["a"][0] == 100.0
+    assert grads.embedding[0, 0] == 100.0
+
+
+def test_clip_gradients_scales_every_view_by_one_factor(tiny_world):
+    docs, _, vocab, labels = tiny_world
+    params = tiny_params(vocab, labels, seed=3)
+    rng = np.random.default_rng(4)
+    grads = params.with_arrays({k: rng.normal(size=v.shape) for k, v in params.named_arrays().items()})
+    before = {k: v.copy() for k, v in grads.named_arrays().items()}
+    norm = clip_gradients(grads, 0.5)
+    assert norm == pytest.approx(np.sqrt(sum((v * v).sum() for v in before.values())))
+    assert len(before) == 8
+    for name, arr in grads.named_arrays().items():
+        np.testing.assert_array_equal(arr, before[name] * (0.5 / norm), err_msg=name)
+    assert np.sqrt((grads.flat * grads.flat).sum()) == pytest.approx(0.5)
+
+
+def test_max_len_defaults_to_the_model_config_window(tiny_world):
+    docs, dev, vocab, labels = tiny_world
+    # 24 words a note, so a window of 16 truncates every one of them
+    long_docs = [replace(d, text=" ".join([d.text] * 4)) for d in docs[:6]]
+    assert min(len(d.text.split()) for d in long_docs) > ModelConfig.max_len
+    params = tiny_params(vocab, labels, seed=5)
+    cfg = TrainConfig(epochs=1, batch_size=4)
+    window = ModelConfig.max_len
+    assert total_loss(long_docs, params, cfg, vocab, labels) == \
+        total_loss(long_docs, params, cfg, vocab, labels, max_len=window)
+    assert total_loss(long_docs, params, cfg, vocab, labels) != \
+        total_loss(long_docs, params, cfg, vocab, labels, max_len=32)
+    loss, grads = loss_and_grads(long_docs, params, cfg, vocab, labels)
+    want_loss, want_grads = loss_and_grads(long_docs, params, cfg, vocab, labels, max_len=window)
+    assert loss == want_loss
+    for name, arr in grads.items():
+        np.testing.assert_array_equal(arr, want_grads[name], err_msg=name)
+    best, log = train(long_docs, dev[:4], params, vocab, labels, cfg)
+    want_best, want_log = train(long_docs, dev[:4], params, vocab, labels, cfg, max_len=window)
+    np.testing.assert_array_equal(best.flat, want_best.flat)
+    assert log == want_log
 
 
 def test_adam_first_step_is_signed_lr(tiny_world):
