@@ -241,9 +241,11 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
     """
     if not docs:
         raise EvaluationError("cannot evaluate an empty document collection")
-    for k in ks:  # before any scoring, so a bad k costs nothing
+    for k in ks:  # before any scoring, so a bad k or label costs nothing
         if not 1 <= k <= len(label_space):
             raise ConfigError(f"k must be in [1, {len(label_space)}], got {k}")
+    if confounded_label is not None:
+        label_space.index(confounded_label)
     z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
     gold = np.stack([label_space.multi_hot(d.codes) for d in docs])
     in_group_a = None

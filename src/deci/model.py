@@ -7,6 +7,11 @@ demographic-only view, the first two ids of the full row, yields z_d, its
 gated mixture. evaluation.final_scores_from_z combines the three pathways
 into the debiased score.
 
+Work is done once per distinct input. The encoder sees one token at a time,
+so each distinct id of a batch is encoded once. z_d depends on a document
+only through its (age bucket, gender) cell, so the demographic view is run
+on the distinct cells (demographic_cells) and gathered per document.
+
 All math is float64. forward_batch and backward_batch are the one model
 implementation: training, evaluation and prediction all run through them.
 """
@@ -132,7 +137,9 @@ class BatchBranch:
     """Intermediates of one branch over a batch, enough to backpropagate."""
 
     token_ids: np.ndarray    # (B, N)
-    embedded: np.ndarray     # (B, N, d_e)
+    tokens: np.ndarray       # (U,) the distinct ids of token_ids, sorted
+    where: np.ndarray        # (B, N) row of tokens at each position
+    embedded: np.ndarray     # (U, d_e) embedding rows of tokens
     encoded: np.ndarray      # (B, N, d_h)
     attention: np.ndarray    # (B, L, N)
     label_repr: np.ndarray   # (B, L, d_h)
@@ -154,8 +161,10 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     B = ids.shape[0]
     L, F = params.n_labels, params.n_experts
     mask = ids != PAD_ID
-    embedded = params.embedding[ids] * mask[..., None]
-    encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias) * mask[..., None]
+    tokens, where = np.unique(ids, return_inverse=True)
+    where = where.reshape(ids.shape)  # flat before numpy 2, ids' shape after
+    embedded = params.embedding[tokens]
+    encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias)[where] * mask[..., None]
 
     logits = params.label_queries @ encoded.transpose(0, 2, 1)
     logits = np.where(mask[:, None, :], logits, -np.inf)
@@ -177,9 +186,9 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     gated = (gate * scores).sum(axis=-1)
     uniform = (scores * (1.0 / F)).sum(axis=-1)
     return BatchBranch(
-        token_ids=ids, embedded=embedded, encoded=encoded, attention=att,
-        label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1), gate=gate,
-        gated=gated, uniform=uniform,
+        token_ids=ids, tokens=tokens, where=where, embedded=embedded, encoded=encoded,
+        attention=att, label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1),
+        gate=gate, gated=gated, uniform=uniform,
     )
 
 
@@ -194,11 +203,12 @@ def backward_batch(
 
     d_gated and d_uniform are (B, L) gradients of the loss with respect to
     this branch's gated and uniform mixtures. Every contraction is a matmul:
-    2-D over the (B*L) or (B*N) rows, or batched over B or over the labels.
-    The embedding rows are scatter-added with np.add.at.
+    2-D over the (B*L) or (U) rows, or batched over B or over the labels.
+    The encoder gradient is summed per distinct token with np.add.at first,
+    so its products run over U rows, not B*N positions.
     """
     L, F = params.n_labels, params.n_experts
-    d_e, d_h = params.embed_dim, params.hidden_dim
+    d_h = params.hidden_dim
     S, G, H = br.expert_scores.transpose(0, 2, 1), br.gate, br.label_repr  # (B, L, F), (B, L, d_h)
 
     dS = d_gated[..., None] * G + (d_uniform / F)[..., None]
@@ -222,10 +232,11 @@ def backward_batch(
     dE += dalog.transpose(0, 2, 1) @ params.label_queries
 
     dU = dE * (1.0 - E * E)  # tanh'; PAD rows of dE are ±0, as attention is 0 there
-    grads.enc_proj += br.embedded.reshape(-1, d_e).T @ dU.reshape(-1, d_h)
-    grads.enc_bias += dU.sum(axis=(0, 1))
-    dX = dU.reshape(-1, d_h) @ params.enc_proj.T
-    np.add.at(grads.embedding, br.token_ids.ravel(), dX)
+    dU_tok = np.zeros((br.tokens.size, d_h))
+    np.add.at(dU_tok, br.where.ravel(), dU.reshape(-1, d_h))
+    grads.enc_proj += br.embedded.T @ dU_tok
+    grads.enc_bias += dU_tok.sum(axis=0)
+    grads.embedding[br.tokens] += dU_tok @ params.enc_proj.T  # exact: tokens are distinct
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +250,24 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
     return full[:, :keep], full[:, :2].copy()
 
 
+def demographic_cells(demo_ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, which): the distinct rows of the (B, 2) demographic view, and
+    the row of cells for each input row, so that demo_ids == cells[which]."""
+    # a 1-D key, as np.unique(axis=0) costs about as much as the rows it saves
+    key = demo_ids[:, 0] * vocab_size + demo_ids[:, 1]
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return demo_ids[first], which
+
+
 def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_size: int = 256):
     """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for a document list.
 
-    Rows are forwarded longest first, batch_size at a time, so each chunk's
-    full view is only as wide as its first row. The stable order keeps input
-    order among equal lengths, so where every row fills the window the chunks
-    are consecutive input rows. Scores are returned in input order.
+    Full rows are forwarded longest first, batch_size at a time, so each
+    chunk's full view is only as wide as its first row. The stable order keeps
+    input order among equal lengths, so where every row fills the window the
+    chunks are consecutive input rows. The demographic view is forwarded once,
+    on the distinct cells of all the documents. Scores are returned in input
+    order.
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
@@ -259,6 +281,7 @@ def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_si
     for lo in range(0, len(docs), batch_size):
         rows = order[lo: lo + batch_size]
         full = forward_batch(params, full_ids[rows, :lengths[rows[0]]])
-        demo = forward_batch(params, demo_ids[rows])
-        zk[rows], ze[rows], zd[rows] = full.gated, full.uniform, demo.gated
+        zk[rows], ze[rows] = full.gated, full.uniform
+    cells, which = demographic_cells(demo_ids, params.vocab_size)
+    zd[:] = forward_batch(params, cells).gated[which]
     return zk, zd, ze

@@ -80,11 +80,12 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     if not docs:
         raise ValueError("empty document batch")
     full_ids, demo_ids = M.batch_inputs(docs, vocab, max_len)
+    cells, which = M.demographic_cells(demo_ids, params.vocab_size)
     full = M.forward_batch(params, full_ids)
-    demo = M.forward_batch(params, demo_ids)
+    demo = M.forward_batch(params, cells)
     y = _targets(docs, label_space)
     loss_k, gk = _bce_and_grad(full.gated, y)
-    loss_d, gd = _bce_and_grad(demo.gated, y)
+    loss_d, gd = _bce_and_grad(demo.gated[which], y)
     loss_e, ge = _bce_and_grad(full.uniform, y)
     total = loss_k + cfg.alpha * loss_d + cfg.beta * loss_e
     parts = {"loss_k": loss_k, "loss_d": loss_d, "loss_e": loss_e}
@@ -93,7 +94,9 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     grads = M.ModelParams(params.dims)
     M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:
-        M.backward_batch(params, demo, cfg.alpha * gd, np.zeros_like(gd), grads)
+        d_cells = np.zeros_like(demo.gated)
+        np.add.at(d_cells, which, cfg.alpha * gd)  # each document's z_d is its cell's
+        M.backward_batch(params, demo, d_cells, np.zeros_like(d_cells), grads)
     return total, parts, grads
 
 

@@ -61,3 +61,5 @@ def test_traced_train_counts_clipping_backward_and_steps(monkeypatch, tmp_path):
     assert metrics["model.backward_batch.full.calls"] == steps
     assert metrics["model.backward_batch.demo.calls"] == steps
     assert metrics["training.step_ms_p50"] > 0
+    # the demographic view is forwarded on distinct (age, gender) cells only
+    assert metrics["model.forward_batch.demo.rows_per_cell"] == 1.0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from deci import evaluation
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
-from deci.errors import ConfigError, DimensionError, EvaluationError
+from deci.errors import ConfigError, DimensionError, EvaluationError, ValidationError
 from deci.evaluation import (
     InferenceMode,
     evaluate,
@@ -318,6 +318,17 @@ def test_run_ablation_rejects_out_of_range_k_before_scoring(eval_world, monkeypa
     monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
     with pytest.raises(ConfigError, match=r"k must be in \[1, 6\]"):
         run_ablation(docs, params, vocab, labels, ks=ks, max_len=10)
+
+
+def test_run_ablation_rejects_an_unknown_confounded_label_before_scoring(eval_world, monkeypatch):
+    docs, params, vocab, labels = eval_world
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("documents were scored before the confounded label was checked")
+
+    monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
+    with pytest.raises(ValidationError, match="unknown code 'C999'"):
+        run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C999")
 
 
 def test_run_ablation_modes_subset(eval_world):

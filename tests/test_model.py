@@ -4,9 +4,12 @@ counterfactual combination of pathway scores.
 Hand-computable cases pin each op through the fields of forward_batch's
 BatchBranch; an independent per-document reference in this file checks the
 batched pass, PAD mask included. The einsum formulation of forward_batch and
-backward_batch, kept here as a second reference, checks every field and every
-gradient of the matmul formulation.
+backward_batch, kept here as a second reference that works per position,
+checks every field and every gradient of the matmul formulation, which works
+per distinct token.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +321,23 @@ def test_scoring_chunks_are_as_wide_as_their_longest_note(params, vocab, monkeyp
     assert widths == [9, 5, 3]  # input order would forward widths [9, 9, 5]
 
 
+def test_scoring_forwards_the_demographic_view_once_per_cell(params, vocab, monkeypatch):
+    docs = notes_of_lengths([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], seed=4)
+    seen = []
+
+    def spy(p, ids):
+        if ids.max() < len(RESERVED_TOKENS):  # the demographic view
+            seen.append(np.array(ids))
+        return forward_batch(p, ids)
+
+    monkeypatch.setattr(model, "forward_batch", spy)
+    pathway_scores_batch(params, docs, vocab, max_len=8, batch_size=3)
+    cells = {tuple(row) for row in batch_inputs(docs, vocab, 8)[1]}
+    assert len(cells) < len(docs)  # some notes share a cell
+    assert len(seen) == 1  # one demographic forward per call
+    assert sorted(map(tuple, seen[0])) == sorted(cells)  # each cell exactly once
+
+
 @pytest.mark.parametrize("batch_size", [1, 2, 3, 256])
 def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
     p = randomized(params, 24)
@@ -395,9 +415,10 @@ def test_degenerate_document_all_pathways_finite(params, vocab):
 
 # -- einsum reference ----------------------------------------------------------
 # forward_batch and backward_batch as written with np.einsum and np.add.at,
-# before their contractions became matmuls. Summation order differs between
-# the two, so they agree to a tolerance fixed from float64 rounding:
-# |new - ref| <= 1e-12 * max(1, max|ref|) for each array.
+# before their contractions became matmuls and before the encoder ran once per
+# distinct token: this reference embeds, encodes and scatters per position.
+# Summation order differs between the two, so they agree to a tolerance fixed
+# from float64 rounding: |new - ref| <= 1e-12 * max(1, max|ref|) for each array.
 
 
 def _einsum_softmax_last(logits):
@@ -406,6 +427,7 @@ def _einsum_softmax_last(logits):
 
 
 def einsum_forward_batch(params, ids):
+    """A record of the branch intermediates, embedded holding one row per position."""
     ids = np.asarray(ids, dtype=np.int64)
     B, N = ids.shape
     L, F = params.n_labels, params.n_experts
@@ -426,7 +448,7 @@ def einsum_forward_batch(params, ids):
     gate = _einsum_softmax_last(np.einsum("bld,df->blf", label_repr, params.gate_w) + params.gate_bias)
     gated = np.einsum("blf,bfl->bl", gate, scores)
     uniform = np.einsum("blf,bfl->bl", np.full((B, L, F), 1.0 / F), scores)
-    return BatchBranch(
+    return SimpleNamespace(
         token_ids=ids, embedded=embedded, encoded=encoded, attention=att,
         label_repr=label_repr, expert_scores=scores, gate=gate, gated=gated, uniform=uniform,
     )
@@ -476,8 +498,13 @@ def compare_with_einsum(p, ids, d_gated, d_uniform, start_grads):
     start_grads is one array per name; backward_batch adds onto a ModelParams
     built from it, the einsum reference onto copies of the arrays."""
     new, ref = forward_batch(p, ids), einsum_forward_batch(p, ids)
-    for name in BatchBranch.__dataclass_fields__:
-        assert_close_to_reference(getattr(new, name), getattr(ref, name), name)
+    # one encoder row per distinct token, spread back over the positions
+    assert np.unique(new.tokens).size == new.tokens.size
+    np.testing.assert_array_equal(new.tokens[new.where], new.token_ids)
+    per_position = {"embedded": new.embedded[new.where] * (new.token_ids != PAD_ID)[..., None]}
+    assert set(vars(ref)) <= set(BatchBranch.__dataclass_fields__)
+    for name in vars(ref):
+        assert_close_to_reference(per_position.get(name, getattr(new, name)), getattr(ref, name), name)
     new_grads = p.with_arrays(start_grads)
     ref_grads = {k: g.copy() for k, g in start_grads.items()}
     backward_batch(p, new, d_gated, d_uniform, new_grads)

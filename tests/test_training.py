@@ -15,7 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from deci import model
 from deci.corpus import (
+    RESERVED_TOKENS,
     Document,
     LabelSpace,
     SyntheticConfig,
@@ -24,7 +26,10 @@ from deci.corpus import (
     synthetic_label_space,
 )
 from deci.errors import ConfigError, DimensionError, FormatError, NumericalError
-from deci.model import ModelConfig, ModelParams, init_params, param_shapes, pathway_scores_batch
+from deci.model import (
+    ModelConfig, ModelParams, backward_batch, batch_inputs, forward_batch, init_params,
+    param_shapes, pathway_scores_batch,
+)
 from deci.numerics import sigmoid
 from deci.training import (
     AdamState,
@@ -120,17 +125,13 @@ def test_loss_rejects_empty_batch(tiny_world):
         total_loss([], params, TrainConfig(), vocab, labels, max_len=8)
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.0, 0.7), (1.3, 0.0)])
-def test_gradients_match_finite_differences(tiny_world, alpha, beta):
-    docs, _, vocab, labels = tiny_world
+def assert_gradients_match_finite_differences(batch, vocab, labels, cfg):
     base = tiny_params(vocab, labels, seed=7)
     # jitter the zero-initialized arrays so no gradient path is trivially zero
     rng = np.random.default_rng(11)
     base = base.with_arrays(
         {k: v + rng.normal(0, 0.2, v.shape) for k, v in base.named_arrays().items()}
     )
-    batch = docs[:3]
-    cfg = TrainConfig(alpha=alpha, beta=beta)
 
     def loss_fn(arrays):
         p = base.with_arrays({k: np.asarray(v) for k, v in arrays.items()})
@@ -143,6 +144,50 @@ def test_gradients_match_finite_differences(tiny_world, alpha, beta):
 
     report = finite_difference_check(loss_fn, grad_fn, base.named_arrays(), step=1e-5, tol=1e-3)
     assert report.passed, (report.worst_parameter, report.max_relative_error)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.0, 0.7), (1.3, 0.0)])
+def test_gradients_match_finite_differences(tiny_world, alpha, beta):
+    docs, _, vocab, labels = tiny_world
+    assert_gradients_match_finite_differences(docs[:3], vocab, labels, TrainConfig(alpha=alpha, beta=beta))
+
+
+def test_gradients_match_finite_differences_with_a_shared_cell_and_a_repeated_word(tiny_world):
+    # the encoder sums a token's positions, and the demographic branch its
+    # cell's notes, before backpropagating: both sums must see every term
+    docs, _, vocab, labels = tiny_world
+    word = docs[0].text.split()[0]
+    batch = [replace(docs[0], text=f"{word} {docs[0].text}"),
+             replace(docs[1], age=docs[0].age, gender=docs[0].gender), docs[2]]
+    full_ids, demo_ids = batch_inputs(batch, vocab, 8)
+    np.testing.assert_array_equal(demo_ids[0], demo_ids[1])
+    assert np.unique(full_ids[0]).size < full_ids.shape[1]
+    assert_gradients_match_finite_differences(batch, vocab, labels, TrainConfig(alpha=0.5, beta=0.5))
+
+
+def test_batch_loss_runs_the_demographic_branch_once_per_cell(tiny_world, monkeypatch):
+    docs, _, vocab, labels = tiny_world
+    batch = docs[:16]
+    forwarded, backpropagated = [], []
+
+    def forward_spy(p, ids):
+        if ids.max() < len(RESERVED_TOKENS):
+            forwarded.append(np.array(ids))
+        return forward_batch(p, ids)
+
+    def backward_spy(p, br, d_gated, d_uniform, grads):
+        if br.token_ids.max() < len(RESERVED_TOKENS):
+            backpropagated.append(br.token_ids)
+        return backward_batch(p, br, d_gated, d_uniform, grads)
+
+    monkeypatch.setattr(model, "forward_batch", forward_spy)
+    monkeypatch.setattr(model, "backward_batch", backward_spy)
+    loss_and_grads(batch, tiny_params(vocab, labels), TrainConfig(), vocab, labels, max_len=8)
+    cells = {tuple(row) for row in batch_inputs(batch, vocab, 8)[1]}
+    assert len(cells) < len(batch)  # some notes share a cell
+    assert len(forwarded) == len(backpropagated) == 1
+    assert sorted(map(tuple, forwarded[0])) == sorted(cells)  # each cell exactly once
+    np.testing.assert_array_equal(backpropagated[0], forwarded[0])
 
 
 def test_alpha_gates_the_demographic_gradient(tiny_world):
