@@ -13,6 +13,7 @@ early, 2 data, file format or file system error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -171,6 +172,7 @@ def _split_config_flags(argv: list[str]) -> tuple[dict, list[str]]:
     return overrides, rest
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deci", description="Counterfactually debiased multi-label classifier")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -70,17 +70,12 @@ def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
     raise ValueError(f"unknown inference mode {mode!r}")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    ordered = np.sort(values)
-    return (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1) / 2.0
-
-
 def roc_auc(scores, labels) -> float | None:
     """Probability a positive outranks a negative, ties counted half.
 
-    Computed from average ranks (the Mann-Whitney statistic). Returns None
-    when either class is absent, leaving the caller to skip or fail.
+    Computed from the positives' average ranks (the Mann-Whitney statistic),
+    ties sharing their average rank. Returns None when either class is
+    absent, leaving the caller to skip or fail.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
@@ -91,8 +86,11 @@ def roc_auc(scores, labels) -> float | None:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ordered, pos_scores = np.sort(scores), scores[pos]
+    # twice each 1-based average rank is an integer, so the sum is exact
+    twice_ranks = (np.searchsorted(ordered, pos_scores, "left")
+                   + np.searchsorted(ordered, pos_scores, "right") + 1)
+    return float((int(twice_ranks.sum()) - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg))
 
 
 def _f1(tp, fp, fn) -> np.ndarray:

@@ -7,10 +7,12 @@ demographic-only view, the first two ids of the full row, yields z_d, its
 gated mixture. evaluation.final_scores_from_z combines the three pathways
 into the debiased score.
 
-Work is done once per distinct input. The encoder sees one token at a time,
-so each distinct id of a batch is encoded once. z_d depends on a document
-only through its (age bucket, gender) cell, so the demographic view is run
-on the distinct cells (demographic_cells) and gathered per document.
+Work is done once per distinct input. The encoder and the label logits see
+one token at a time, so each distinct id of a batch is encoded and scored
+against the label queries once, and the rows are gathered per position.
+z_d depends on a document only through its (age bucket, gender) cell, so
+the demographic view is run on the distinct cells (demographic_cells) and
+gathered per document.
 
 All math is float64. forward_batch and backward_batch are the one model
 implementation: training, evaluation and prediction all run through them.
@@ -140,8 +142,8 @@ class BatchBranch:
     tokens: np.ndarray       # (U,) the distinct ids of token_ids, sorted
     where: np.ndarray        # (B, N) row of tokens at each position
     embedded: np.ndarray     # (U, d_e) embedding rows of tokens
-    encoded: np.ndarray      # (B, N, d_h)
-    attention: np.ndarray    # (B, L, N)
+    encoded: np.ndarray      # (B, N, d_h) encoder row of each position, +0.0 at PAD
+    attention: np.ndarray    # (B, L, N) softmax of the gathered label logits, 0 at PAD
     label_repr: np.ndarray   # (B, L, d_h)
     expert_scores: np.ndarray  # (B, F, L)
     gate: np.ndarray         # (B, L, F)
@@ -160,19 +162,24 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     _validate_ids(params, ids)
     B = ids.shape[0]
     L, F = params.n_labels, params.n_experts
-    mask = ids != PAD_ID
     tokens, where = np.unique(ids, return_inverse=True)
     where = where.reshape(ids.shape)  # flat before numpy 2, ids' shape after
     embedded = params.embedding[tokens]
-    encoded = np.tanh(embedded @ params.enc_proj + params.enc_bias)[where] * mask[..., None]
+    enc_tok = np.tanh(embedded @ params.enc_proj + params.enc_bias)
+    logit_tok = params.label_queries @ enc_tok.T  # (L, U)
+    if tokens.size and tokens[0] == PAD_ID:  # PAD is the smallest id
+        enc_tok[0] = 0.0
+        logit_tok[:, 0] = -np.inf
+    encoded = enc_tok[where]
 
-    logits = params.label_queries @ encoded.transpose(0, 2, 1)
-    logits = np.where(mask[:, None, :], logits, -np.inf)
-    rowmax = logits.max(axis=2, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)  # all-PAD documents
-    att = np.exp(logits - rowmax)
+    att = logit_tok[np.arange(L)[:, None], where[:, None, :]]  # logits, (B, L, N)
+    rowmax = att.max(axis=2, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0  # all-PAD documents
+    att -= rowmax
+    np.exp(att, out=att)
     denom = att.sum(axis=2, keepdims=True)
-    att = att / np.where(denom == 0.0, 1.0, denom)
+    denom[denom == 0.0] = 1.0
+    att /= denom
     label_repr = att @ encoded
 
     # One (B, d_h) @ (d_h, F) product per label, written into a C-contiguous

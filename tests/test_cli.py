@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so exit codes are asserted
 directly. A small corpus and model keep the whole module fast.
 """
 
+import argparse
 import json
 import os
 import struct
@@ -393,6 +394,29 @@ def test_help_exits_zero(capsys):
     assert "{gen-data,train,eval,predict}" in capsys.readouterr().out
     assert main(["train", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: deci train [-h] [--config PATH] [--out PATH]\n")
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):  # called once per build, by the top-level parser
+        built.append(parser)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for k in range(2):
+            assert main(["gen-data", *TINY, "--out", str(tmp_path / f"d{k}")]) == 0
+        assert len(built) == 1
+        # the built parser still answers --help and refuses a usage error
+        assert main(["--help"]) == 0
+        assert main(["gen-data", "--no-such-flag", "1"]) == 1
+        assert len(built) == 1
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
 
 
 def test_bad_flag_value_exits_one(tmp_path):

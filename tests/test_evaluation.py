@@ -108,15 +108,31 @@ def brute_force_auc(scores, labels):
     return float(wins / (pos.size * neg.size))
 
 
-def test_roc_auc_against_pairwise_oracle():
+def average_rank_auc(scores, labels):
+    """roc_auc from the average ranks of every score, the positives' ranks
+    summed as floats: an exact oracle, as each rank is a half-integer."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left") + np.searchsorted(ordered, scores, "right") + 1) / 2.0
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def seeded_draws():
+    """1,000 seeded (scores, labels) draws of 2-200 cells, half of them with ties."""
     rng = np.random.default_rng(0)
-    checked = 0
     for _ in range(1000):
         n = int(rng.integers(2, 201))
         scores = rng.random(n)
         if rng.random() < 0.5:
             scores = np.round(scores, 1)  # force ties
-        labels = rng.integers(0, 2, size=n)
+        yield scores, rng.integers(0, 2, size=n)
+
+
+def test_roc_auc_against_pairwise_oracle():
+    checked = 0
+    for scores, labels in seeded_draws():
         want = brute_force_auc(scores, labels)
         got = roc_auc(scores, labels)
         if want is None:
@@ -125,6 +141,20 @@ def test_roc_auc_against_pairwise_oracle():
             assert got == pytest.approx(want, abs=1e-12)
             checked += 1
     assert checked > 900  # the degenerate draws are rare
+
+
+def test_roc_auc_equals_the_average_rank_oracle_exactly():
+    checked = 0
+    for scores, labels in seeded_draws():
+        if 0 < labels.sum() < labels.size:
+            assert roc_auc(scores, labels) == average_rank_auc(scores, labels)
+            checked += 1
+    assert checked > 900
+    # a micro-AUC-sized draw: 1,600 notes by 20 labels, with ties, 10% positive
+    rng = np.random.default_rng(3)
+    scores = np.round(rng.random(32_000), 3)
+    labels = (rng.random(32_000) < 0.1).astype(int)
+    assert roc_auc(scores, labels) == average_rank_auc(scores, labels)
 
 
 def test_roc_auc_invariant_under_monotone_transform():

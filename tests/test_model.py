@@ -9,6 +9,7 @@ checks every field and every gradient of the matmul formulation, which works
 per distinct token.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,6 +390,28 @@ def test_forward_batch_attention_rows(params, vocab):
     np.testing.assert_allclose(br.attention.sum(axis=2), 1.0, atol=1e-9)
     # the short document's PAD position carries no attention
     assert not br.attention[1, :, 3].any()
+
+
+def test_forward_batch_masks_pad_once_per_distinct_token():
+    """PAD is zeroed in the per-token tables, so the (B, N, d_h) encoded array
+    is gathered once and never copied by a mask product: the forward's peak
+    allocation stays below twice that array's bytes."""
+    p = randomized(init_params(300, 20, seed=0), 31)
+    ids = random_rows(300, 31, shape=(64, 96))
+    ids[0] = np.arange(1, 97)  # the batch is as wide as its longest row
+    ids[3] = PAD_ID  # one all-PAD row
+    tracemalloc.start()
+    try:
+        br = forward_batch(p, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * br.encoded.nbytes
+    pad = ids == PAD_ID
+    assert pad[:, -1].any() and not np.signbit(br.encoded[pad]).any()
+    assert not br.encoded[pad].any()  # exactly +0.0
+    assert not br.attention.transpose(0, 2, 1)[pad].any()
+    assert np.all(np.isfinite(br.gated[3])) and not br.attention[3].any()
 
 
 def test_batch_inputs_layout(params, vocab):
