@@ -21,8 +21,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (
     LabelSpace, SyntheticConfig, Vocabulary, generate_synthetic, load_jsonl,
     save_jsonl, synthetic_label_space,
@@ -317,10 +315,9 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     if docs:
         z_k, z_d, z_e = pathway_scores_batch(ckpt.params, docs, ckpt.vocab, ckpt.max_len)
         scores = final_scores_from_z(z_k, z_d, z_e, InferenceMode.DECI)
-        for i, doc in enumerate(docs):
-            predicted = [ckpt.label_space.labels[j] for j in np.flatnonzero(scores[i] >= 0.5)]
-            lines.append(json.dumps({"doc_id": doc.id, "codes": predicted,
-                                     "scores": [float(s) for s in scores[i]]}))
+        for doc, row, hits in zip(docs, scores.tolist(), (scores >= 0.5).tolist()):
+            predicted = [label for label, hit in zip(ckpt.label_space.labels, hits) if hit]
+            lines.append(json.dumps({"doc_id": doc.id, "codes": predicted, "scores": row}))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -6,11 +6,12 @@ exclusive per label, so the note text alone fully determines the gold labels;
 any demographic shortcut a model picks up is a planted confound, not signal.
 """
 
+import bisect
 import json
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, asdict
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import ConfigError, ParseError, ValidationError
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
 AGE_TOKENS = ("[AGE_0_17]", "[AGE_18_44]", "[AGE_45_64]", "[AGE_65_PLUS]")
+AGE_BOUNDS = (18, 45, 65)  # first age of each bucket after the first
 GENDER_TOKENS = ("[GENDER_M]", "[GENDER_F]")
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN) + AGE_TOKENS + GENDER_TOKENS
 PAD_ID = 0
@@ -28,7 +30,14 @@ UNK_ID = 1
 GENDERS = ("M", "F")
 MAX_AGE = 130  # exclusive upper bound
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
+# Every byte outside [a-z0-9] becomes a space. A non-ASCII character (a lone surrogate
+# too) encodes to bytes >= 0x80 only, so words() == re.findall(r"[a-z0-9]+", text.lower()).
+_NON_WORD_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
+
+
+def words(text: str) -> list[str]:
+    """The lowercased runs of ASCII letters and digits in text."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_NON_WORD_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,10 @@ class LabelSpace:
             y[self.index(c)] = 1.0
         return y
 
+    def multi_hot_rows(self, docs) -> np.ndarray:
+        """(n_docs, n_labels) gold matrix whose rows are multi_hot(doc.codes)."""
+        return np.stack([self.multi_hot(d.codes) for d in docs])
+
     @classmethod
     def from_file(cls, path) -> "LabelSpace":
         """Plain text, one label per line, order significant."""
@@ -105,20 +118,19 @@ class Vocabulary:
     """Token <-> id bijection. PAD is id 0; UNK and demographic tokens reserved."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self._id_to_token = list(RESERVED_TOKENS)
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
-        for t in tokens:
-            if t in self._token_to_id:
-                raise ValidationError(f"duplicate or reserved token {t!r}")
-            self._token_to_id[t] = len(self._id_to_token)
-            self._id_to_token.append(t)
+        self._id_to_token = [*RESERVED_TOKENS, *tokens]
+        self._token_to_id = dict(zip(self._id_to_token, range(len(self._id_to_token))))
+        if len(self._token_to_id) != len(self._id_to_token):
+            seen = set()
+            dup = next(t for t in self._id_to_token if t in seen or seen.add(t))
+            raise ValidationError(f"duplicate or reserved token {dup!r}")
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "Vocabulary":
         """Vocabulary over all note tokens, sorted for a stable assignment."""
         seen = set()
         for doc in docs:
-            seen.update(_WORD_RE.findall(doc.text.lower()))
+            seen.update(words(doc.text))
         return cls(sorted(seen))
 
     @property
@@ -147,20 +159,14 @@ class Vocabulary:
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary."""
-    return list(map(vocab._token_to_id.get, _WORD_RE.findall(text.lower()), repeat(UNK_ID)))
+    return list(map(vocab._token_to_id.get, words(text), repeat(UNK_ID)))
 
 
 def age_bucket(age: int) -> str:
     """Age in years -> bucket token. The 65 boundary belongs to the top bucket."""
     if not 0 <= age < MAX_AGE:
         raise ValidationError(f"age must be in [0, {MAX_AGE}), got {age}")
-    if age < 18:
-        return AGE_TOKENS[0]
-    if age < 45:
-        return AGE_TOKENS[1]
-    if age < 65:
-        return AGE_TOKENS[2]
-    return AGE_TOKENS[3]
+    return AGE_TOKENS[bisect.bisect_right(AGE_BOUNDS, age)]
 
 
 def demographic_tokens(age: int, gender: str, vocab: Vocabulary) -> list[int]:
@@ -171,15 +177,25 @@ def demographic_tokens(age: int, gender: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id(age_bucket(age)), vocab.id(gender_token)]
 
 
+def input_matrix(docs, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """(n_docs, max_len) int64 token-id rows: each document's two demographic
+    tokens, then its note tokens, truncated or PAD-extended to the window."""
+    if max_len < 2:
+        raise ConfigError(f"max_len must be at least 2, got {max_len}")
+    notes = [tokenize(d.text, vocab)[: max_len - 2] for d in docs]
+    lengths = np.fromiter(map(len, notes), np.int64, len(notes))
+    rows = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
+    buckets = np.searchsorted(AGE_BOUNDS, [d.age for d in docs], "right")
+    rows[:, 0] = np.array([vocab.id(t) for t in AGE_TOKENS])[buckets]
+    rows[:, 1] = [vocab.id(GENDER_TOKENS[GENDERS.index(d.gender)]) for d in docs]
+    rows[:, 2:][np.arange(max_len - 2) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(notes), np.int64, int(lengths.sum()))
+    return rows
+
+
 def build_model_input(doc: Document, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """Token-id row of length max_len for one document: the two demographic
-    tokens, then the note tokens, truncated or PAD-extended to the window."""
-    demo = demographic_tokens(doc.age, doc.gender, vocab)
-    if max_len < len(demo):
-        raise ConfigError(f"max_len must be at least {len(demo)}, got {max_len}")
-    ids = (demo + tokenize(doc.text, vocab))[:max_len]
-    ids = ids + [PAD_ID] * (max_len - len(ids))
-    return np.asarray(ids, dtype=np.int64)
+    """The input_matrix row of one document."""
+    return input_matrix([doc], vocab, max_len)[0]
 
 
 @dataclass

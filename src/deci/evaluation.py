@@ -245,7 +245,7 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
     if confounded_label is not None:
         label_space.index(confounded_label)
     z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
-    gold = np.stack([label_space.multi_hot(d.codes) for d in docs])
+    gold = label_space.multi_hot_rows(docs)
     in_group_a = None
     if confounded_label is not None:
         predicate = confound_predicate(confound_attribute)

@@ -9,7 +9,8 @@ into the debiased score.
 
 Work is done once per distinct input. The encoder and the label logits see
 one token at a time, so each distinct id of a batch is encoded and scored
-against the label queries once, and the rows are gathered per position.
+against the label queries once. Only the attention weights are per position:
+the attention product gathers encoder rows a few documents at a time.
 z_d depends on a document only through its (age bucket, gender) cell, so
 the demographic view is run on the distinct cells (demographic_cells) and
 gathered per document.
@@ -23,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, Vocabulary, build_model_input
+from .corpus import PAD_ID, Vocabulary, input_matrix
 from .errors import ConfigError, DimensionError
+
+_GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
 
 @dataclass
 class ModelConfig:
@@ -142,13 +145,20 @@ class BatchBranch:
     tokens: np.ndarray       # (U,) the distinct ids of token_ids, sorted
     where: np.ndarray        # (B, N) row of tokens at each position
     embedded: np.ndarray     # (U, d_e) embedding rows of tokens
-    encoded: np.ndarray      # (B, N, d_h) encoder row of each position, +0.0 at PAD
+    enc_tok: np.ndarray      # (U, d_h) encoder rows of tokens, +0.0 for PAD
     attention: np.ndarray    # (B, L, N) softmax of the gathered label logits, 0 at PAD
     label_repr: np.ndarray   # (B, L, d_h)
     expert_scores: np.ndarray  # (B, F, L)
     gate: np.ndarray         # (B, L, F)
     gated: np.ndarray        # (B, L)
     uniform: np.ndarray      # (B, L)
+    encoded = property(lambda self: self.enc_tok[self.where])  # (B, N, d_h), built when read
+
+
+def _row_blocks(B: int, N: int, d_h: int) -> list[slice]:
+    """Row slices of a (B, N, d_h) array: one row or more, _GATHER_FLOATS at most."""
+    step = max(1, _GATHER_FLOATS // (N * d_h))
+    return [slice(lo, lo + step) for lo in range(0, B, step)]
 
 
 def _softmax_last(logits: np.ndarray) -> np.ndarray:
@@ -160,19 +170,21 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     """Encode a batch of token-id rows (B, N) through one branch."""
     ids = np.asarray(ids, dtype=np.int64)
     _validate_ids(params, ids)
-    B = ids.shape[0]
+    B, N = ids.shape
     L, F = params.n_labels, params.n_experts
-    tokens, where = np.unique(ids, return_inverse=True)
-    where = where.reshape(ids.shape)  # flat before numpy 2, ids' shape after
+    # np.unique(ids, return_inverse=True) without a sort
+    present = np.zeros(params.vocab_size, dtype=bool)
+    present[ids] = True
+    tokens = np.flatnonzero(present)
+    where = (np.cumsum(present) - 1)[ids]
     embedded = params.embedding[tokens]
     enc_tok = np.tanh(embedded @ params.enc_proj + params.enc_bias)
     logit_tok = params.label_queries @ enc_tok.T  # (L, U)
     if tokens.size and tokens[0] == PAD_ID:  # PAD is the smallest id
         enc_tok[0] = 0.0
         logit_tok[:, 0] = -np.inf
-    encoded = enc_tok[where]
 
-    att = logit_tok[np.arange(L)[:, None], where[:, None, :]]  # logits, (B, L, N)
+    att = np.take(logit_tok, where, axis=1).transpose(1, 0, 2)  # logits, (B, L, N)
     rowmax = att.max(axis=2, keepdims=True)
     rowmax[~np.isfinite(rowmax)] = 0.0  # all-PAD documents
     att -= rowmax
@@ -180,7 +192,9 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     denom = att.sum(axis=2, keepdims=True)
     denom[denom == 0.0] = 1.0
     att /= denom
-    label_repr = att @ encoded
+    label_repr = np.empty((B, L, params.hidden_dim))
+    for rows in _row_blocks(B, N, params.hidden_dim):  # N >= 1 past the softmax
+        np.matmul(att[rows], enc_tok[where[rows]], out=label_repr[rows])
 
     # One (B, d_h) @ (d_h, F) product per label, written into a C-contiguous
     # (B, L, F) array, so that gated and uniform below reduce the same layout
@@ -193,7 +207,7 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
     gated = (gate * scores).sum(axis=-1)
     uniform = (scores * (1.0 / F)).sum(axis=-1)
     return BatchBranch(
-        token_ids=ids, tokens=tokens, where=where, embedded=embedded, encoded=encoded,
+        token_ids=ids, tokens=tokens, where=where, embedded=embedded, enc_tok=enc_tok,
         attention=att, label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1),
         gate=gate, gated=gated, uniform=uniform,
     )
@@ -231,14 +245,15 @@ def backward_batch(
     grads.gate_bias += dglog.sum(axis=(0, 1))
     dH += dglog @ params.gate_w.T
 
-    A, E = br.attention, br.encoded
+    A, E = br.attention, br.encoded  # gathered here; its buffer then holds dE and dU
     dA = dH @ E.transpose(0, 2, 1)
-    dE = A.transpose(0, 2, 1) @ dH
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
     grads.label_queries += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
-    dE += dalog.transpose(0, 2, 1) @ params.label_queries
-
-    dU = dE * (1.0 - E * E)  # tanh'; PAD rows of dE are ±0, as attention is 0 there
+    dU = np.matmul(A.transpose(0, 2, 1), dH, out=E)
+    tanh_grad = 1.0 - br.enc_tok * br.enc_tok  # per token; PAD rows of dE are ±0
+    for rows in _row_blocks(*dU.shape):
+        dU[rows] += dalog[rows].transpose(0, 2, 1) @ params.label_queries
+        dU[rows] *= tanh_grad[br.where[rows]]
     dU_tok = np.zeros((br.tokens.size, d_h))
     np.add.at(dU_tok, br.where.ravel(), dU.reshape(-1, d_h))
     grads.enc_proj += br.embedded.T @ dU_tok
@@ -252,7 +267,7 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
     A full row starts with the two demographic ids, which are the whole
     demographic-only view, so that view is the first two columns.
     """
-    full = np.stack([build_model_input(d, vocab, max_len) for d in docs])
+    full = input_matrix(docs, vocab, max_len)
     keep = int((full != PAD_ID).sum(axis=1).max())
     return full[:, :keep], full[:, :2].copy()
 

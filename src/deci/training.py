@@ -72,10 +72,6 @@ def _bce_and_grad(z: np.ndarray, y: np.ndarray):
     return loss, (sigmoid(z) - y) / z.size
 
 
-def _targets(docs, label_space: LabelSpace) -> np.ndarray:
-    return np.stack([label_space.multi_hot(d.codes) for d in docs])
-
-
 def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     if not docs:
         raise ValueError("empty document batch")
@@ -83,7 +79,7 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     cells, which = M.demographic_cells(demo_ids, params.vocab_size)
     full = M.forward_batch(params, full_ids)
     demo = M.forward_batch(params, cells)
-    y = _targets(docs, label_space)
+    y = label_space.multi_hot_rows(docs)
     loss_k, gk = _bce_and_grad(full.gated, y)
     loss_d, gd = _bce_and_grad(demo.gated[which], y)
     loss_e, ge = _bce_and_grad(full.uniform, y)
@@ -165,7 +161,7 @@ def dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
     """Micro/macro F1 and micro AUC of the debiased scores on a labeled split."""
     zk, zd, ze = M.pathway_scores_batch(params, dev_docs, vocab, max_len)
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
-    gold = _targets(dev_docs, label_space)
+    gold = label_space.multi_hot_rows(dev_docs)
     macro_f1, micro_f1, _ = f1_scores(scores >= 0.5, gold)
     micro_auc = roc_auc(scores.ravel(), gold.ravel())
     return {"micro_f1": micro_f1, "macro_f1": macro_f1, "micro_auc": micro_auc}

@@ -7,6 +7,7 @@ directly. A small corpus and model keep the whole module fast.
 import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import deci
-from deci import cli, training
+from deci import cli, model, training
 from deci.cli import DEFAULTS, main
 from deci.corpus import load_jsonl
 from deci.errors import ParseError
@@ -278,6 +279,28 @@ def test_predict_handles_unknown_tokens(pipeline, tmp_path, capsys):
     line = json.loads(capsys.readouterr().out)
     assert line["doc_id"] == "x"
     assert all(0.0 <= s <= 1.0 for s in line["scores"])
+
+
+def test_predict_tokenizes_a_lone_surrogate_as_the_regex_does(pipeline, tmp_path, capsys, monkeypatch):
+    _, run = pipeline
+    path = tmp_path / "surrogate.jsonl"
+    # the JSON escape decodes to a lone surrogate, which UTF-8 cannot encode
+    path.write_text('{"id": "s", "text": "K000W0\\ud800k001w0 x\\udfff", "age": 30, "gender": "M"}\n')
+    seen, batch_inputs = [], model.batch_inputs
+
+    def spy(*args):
+        seen.append(batch_inputs(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(model, "batch_inputs", spy)
+    assert main(["predict", "--run.dir", str(run), str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["doc_id"] == "s"
+    vocab = load_checkpoint(run / "checkpoint.deci").vocab
+    text = load_jsonl(path)[0].text
+    assert "\ud800" in text
+    want = [vocab.id("[AGE_18_44]"), vocab.id("[GENDER_M]")]
+    want += [vocab.id(w) for w in re.findall(r"[a-z0-9]+", text.lower())]
+    assert seen[0][0].tolist() == [want]
 
 
 def test_predict_accepts_notes_without_codes(pipeline, tmp_path, capsys):

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deci.corpus import (
     AGE_TOKENS,
@@ -32,6 +34,7 @@ from deci.corpus import (
     save_jsonl,
     synthetic_label_space,
     tokenize,
+    words,
 )
 from deci.errors import ConfigError, ParseError, ValidationError
 
@@ -39,6 +42,11 @@ from deci.errors import ConfigError, ParseError, ValidationError
 @pytest.fixture
 def small_vocab():
     return Vocabulary(["atrial", "fibrillation", "aspirin"])
+
+
+def findall_words(text):
+    """The tokenizer's definition: every run of [a-z0-9] in the lowercased text."""
+    return re.findall(r"[a-z0-9]+", text.lower())
 
 
 def test_tokenize_lowercases_and_strips_punctuation(small_vocab):
@@ -66,12 +74,33 @@ def test_tokenize_matches_per_word_lookup():
     vocab = Vocabulary(known)
     pool = known + ["zz1", "Unknown", "W3", "W12x", "ASPIRIN", "7"]
     for _ in range(200):
-        words = rng.choice(pool, size=rng.integers(0, 25))
-        seps = rng.choice([" ", ", ", ".", "-", "\t", "/", " (", ") "], size=len(words))
-        text = "".join(w + s for w, s in zip(words, seps))
-        want = [vocab.id(t) for t in re.findall(r"[a-z0-9]+", text.lower())]
+        picked = rng.choice(pool, size=rng.integers(0, 25))
+        seps = rng.choice([" ", ", ", ".", "-", "\t", "/", " (", ") "], size=len(picked))
+        text = "".join(w + s for w, s in zip(picked, seps))
+        want = [vocab.id(t) for t in findall_words(text)]
         assert tokenize(text, vocab) == want
         assert all(type(i) is int for i in tokenize(text, vocab))
+
+
+# Characters whose lowercasing or encoding could split a word differently:
+# dotted capital I (lowercases to "i" plus a combining dot), the Kelvin sign
+# (lowercases to ASCII "k"), lone surrogates, a full-width digit and letter,
+# an Arabic-Indic digit, sharp s, a ligature, superscript two (a Latin-1
+# digit), NUL and whitespace.
+TRICKY_CHARS = ["\u0130", "\u212a", "\ud800", "\udfff", "\uff11", "\uff21", "\u0663", "\u00df",
+                "\ufb01", "\u00b2", "\x00", "\t", "\n", "\r", " ", "-", "A", "z", "Z", "0", "9"]
+
+
+def test_words_match_the_regex_on_tricky_characters():
+    for ch in TRICKY_CHARS:
+        for text in (ch, f"ab{ch}cd", f"{ch}x9{ch}{ch}Y "):
+            assert words(text) == findall_words(text), repr(text)
+
+
+@given(st.lists(st.one_of(st.characters(exclude_categories=()), st.sampled_from(TRICKY_CHARS)),
+                max_size=40).map("".join))
+def test_words_match_the_regex_on_any_text(text):
+    assert words(text) == findall_words(text)
 
 
 def test_age_bucket_boundaries():
@@ -164,6 +193,11 @@ def test_label_space_basics():
     assert space.index("C001") == 1
     assert "C002" in space and "C999" not in space
     np.testing.assert_array_equal(space.multi_hot(["C000", "C002"]), [1.0, 0.0, 1.0])
+    docs = [Document(id=i, text="", age=30, gender="M", codes=c)
+            for i, c in (("a", ("C002", "C000")), ("b", ()), ("c", ("C001",)))]
+    gold = space.multi_hot_rows(docs)
+    assert gold.dtype == np.float64
+    np.testing.assert_array_equal(gold, np.stack([space.multi_hot(d.codes) for d in docs]))
     with pytest.raises(ValidationError, match="C999"):
         space.index("C999")
     with pytest.raises(ValidationError):
@@ -191,9 +225,11 @@ def test_vocabulary_round_trip_and_duplicates():
     assert v.token(v.id("a")) == "a"
     assert v.id("missing") == UNK_ID
     assert Vocabulary.from_list(v.to_list()) == v
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="token 'a'"):
         Vocabulary(["a", "a"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="token 'x'"):
+        Vocabulary(["x", "b", "c", "x", "b"])  # the first repeat is named
+    with pytest.raises(ValidationError, match=r"token '\[PAD\]'"):
         Vocabulary(["[PAD]"])
     with pytest.raises(ValidationError):
         Vocabulary.from_list(["[UNK]", "[PAD]"])

@@ -18,7 +18,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deci import model
-from deci.corpus import PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_model_input
+from deci.corpus import (
+    PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_model_input, demographic_tokens, tokenize,
+)
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
 from deci.model import (
@@ -393,9 +395,9 @@ def test_forward_batch_attention_rows(params, vocab):
 
 
 def test_forward_batch_masks_pad_once_per_distinct_token():
-    """PAD is zeroed in the per-token tables, so the (B, N, d_h) encoded array
-    is gathered once and never copied by a mask product: the forward's peak
-    allocation stays below twice that array's bytes."""
+    """PAD is zeroed in the per-token tables, so no mask product copies the
+    per-position encoder rows: the forward's peak allocation stays below
+    twice the bytes of the (B, N, d_h) encoded array."""
     p = randomized(init_params(300, 20, seed=0), 31)
     ids = random_rows(300, 31, shape=(64, 96))
     ids[0] = np.arange(1, 97)  # the batch is as wide as its longest row
@@ -412,6 +414,78 @@ def test_forward_batch_masks_pad_once_per_distinct_token():
     assert not br.encoded[pad].any()  # exactly +0.0
     assert not br.attention.transpose(0, 2, 1)[pad].any()
     assert np.all(np.isfinite(br.gated[3])) and not br.attention[3].any()
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_batch_never_gathers_every_position_at_once():
+    """The attention product gathers encoder rows a block of documents at a
+    time, so the forward peaks below half the bytes of the (B, N, d_h)
+    array, and its label representations are still bitwise the one product
+    over that array. 8 labels keep the (B, L, N) attention and (B, L, d_h)
+    label representations, which the branch returns, well under that half.
+    The backward gathers that array once and reuses it for the position
+    gradients, so it peaks below twice its bytes."""
+    p = randomized(init_params(300, 8, seed=0), 32)
+    ids = random_rows(300, 32, shape=(64, 96))
+    ids[0] = np.arange(1, 97)
+    ids[5] = PAD_ID
+    assert 64 % (model._GATHER_FLOATS // (96 * p.hidden_dim)) != 0  # a ragged last block
+    per_position = ids.size * p.hidden_dim * 8
+    assert traced_peak(forward_batch, p, ids) < 0.5 * per_position
+    br = forward_batch(p, ids)
+    assert np.array_equal(br.label_repr, np.matmul(br.attention, br.encoded))
+    d = np.random.default_rng(32).normal(size=br.gated.shape)
+    assert traced_peak(backward_batch, p, br, d, d, ModelParams(p.dims)) < 2 * per_position
+    tokens, where = np.unique(ids, return_inverse=True)
+    np.testing.assert_array_equal(br.tokens, tokens)
+    np.testing.assert_array_equal(br.where, where.reshape(ids.shape))
+
+
+def parent_model_input(doc, vocab, max_len):
+    """build_model_input as first written, one document at a time: the
+    demographic ids, then tokenize's ids, cut and PAD-extended to the window."""
+    ids = (demographic_tokens(doc.age, doc.gender, vocab) + tokenize(doc.text, vocab))[:max_len]
+    return np.asarray(ids + [PAD_ID] * (max_len - len(ids)), dtype=np.int64)
+
+
+def parent_batch_inputs(docs, vocab, max_len):
+    full = np.stack([parent_model_input(d, vocab, max_len) for d in docs])
+    keep = int((full != PAD_ID).sum(axis=1).max())
+    return full[:, :keep], full[:, :2].copy()
+
+
+def test_batch_inputs_match_the_per_document_rows(vocab):
+    rng = np.random.default_rng(8)
+    pool = [f"w{i}" for i in range(12)] + ["W3", "zz", "Q7", "9"]
+    docs = []
+    for i, age in enumerate([0, 17, 18, 44, 45, 64, 65, 129] * 3):
+        n_words = rng.choice([0, 1, 5, 40])  # empty text, and text longer than any window
+        text = " ".join(rng.choice(pool, size=n_words)) + ("." if i % 3 else "")
+        docs.append(Document(id=str(i), text=text, age=age, gender="MF"[i // 8 % 2]))
+    for max_len in (2, 3, 7, 16, 64):
+        for batch in (docs, docs[:1], docs[3:4], docs[::5]):
+            want_full, want_demo = parent_batch_inputs(batch, vocab, max_len)
+            full, demo = batch_inputs(batch, vocab, max_len)
+            assert full.dtype == demo.dtype == np.int64
+            np.testing.assert_array_equal(full, want_full)
+            np.testing.assert_array_equal(demo, want_demo)
+        for doc in docs:
+            row = build_model_input(doc, vocab, max_len)
+            assert row.dtype == np.int64
+            np.testing.assert_array_equal(row, parent_model_input(doc, vocab, max_len))
+    for max_len in (1, 0, -1):
+        with pytest.raises(ConfigError):
+            batch_inputs(docs, vocab, max_len)
+        with pytest.raises(ConfigError):
+            build_model_input(docs[0], vocab, max_len)
 
 
 def test_batch_inputs_layout(params, vocab):
@@ -524,8 +598,9 @@ def compare_with_einsum(p, ids, d_gated, d_uniform, start_grads):
     # one encoder row per distinct token, spread back over the positions
     assert np.unique(new.tokens).size == new.tokens.size
     np.testing.assert_array_equal(new.tokens[new.where], new.token_ids)
-    per_position = {"embedded": new.embedded[new.where] * (new.token_ids != PAD_ID)[..., None]}
-    assert set(vars(ref)) <= set(BatchBranch.__dataclass_fields__)
+    per_position = {"embedded": new.embedded[new.where] * (new.token_ids != PAD_ID)[..., None],
+                    "encoded": new.enc_tok[new.where]}
+    assert set(vars(ref)) <= set(BatchBranch.__dataclass_fields__) | set(per_position)
     for name in vars(ref):
         assert_close_to_reference(per_position.get(name, getattr(new, name)), getattr(ref, name), name)
     new_grads = p.with_arrays(start_grads)
