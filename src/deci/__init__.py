@@ -13,8 +13,6 @@ from .corpus import (
     LabelSpace,
     SyntheticConfig,
     Vocabulary,
-    build_model_input,
-    demographic_tokens,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -34,7 +32,6 @@ from .evaluation import (
     Disparity,
     EvalReport,
     InferenceMode,
-    evaluate,
     f1_scores,
     final_scores_from_z,
     precision_at_k,
@@ -52,10 +49,9 @@ from .numerics import sigmoid
 from .training import (
     Checkpoint,
     TrainConfig,
+    batch_loss,
     load_checkpoint,
-    loss_and_grads,
     save_checkpoint,
-    total_loss,
     train,
 )
 

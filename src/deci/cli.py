@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
@@ -282,9 +282,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                            confound_attribute=cfg["data.confound_attribute"], modes=modes)
     if args.ablate:
         _print_ablation_table(reports)
-        payload = {"command": "eval", "ablation": {m: r.to_dict() for m, r in reports.items()}}
+        payload = {"command": "eval", "ablation": {m: asdict(r) for m, r in reports.items()}}
     else:
-        payload = {"command": "eval", "report": reports[modes[0].value].to_dict()}
+        payload = {"command": "eval", "report": asdict(reports[modes[0].value])}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -6,11 +6,10 @@ exclusive per label, so the note text alone fully determines the gold labels;
 any demographic shortcut a model picks up is a planted confound, not signal.
 """
 
-import bisect
 import json
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -29,6 +28,10 @@ UNK_ID = 1
 
 GENDERS = ("M", "F")
 MAX_AGE = 130  # exclusive upper bound
+
+# Row bucket * 2 + gender: that cell's age and gender token ids, which every vocabulary reserves.
+CELL_IDS = np.array([[RESERVED_TOKENS.index(age), RESERVED_TOKENS.index(gender)]
+                     for age in AGE_TOKENS for gender in GENDER_TOKENS], dtype=np.int64)
 
 # Every byte outside [a-z0-9] becomes a space. A non-ASCII character (a lone surrogate
 # too) encodes to bytes >= 0x80 only, so words() == re.findall(r"[a-z0-9]+", text.lower()).
@@ -162,40 +165,21 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return list(map(vocab._token_to_id.get, words(text), repeat(UNK_ID)))
 
 
-def age_bucket(age: int) -> str:
-    """Age in years -> bucket token. The 65 boundary belongs to the top bucket."""
-    if not 0 <= age < MAX_AGE:
-        raise ValidationError(f"age must be in [0, {MAX_AGE}), got {age}")
-    return AGE_TOKENS[bisect.bisect_right(AGE_BOUNDS, age)]
-
-
-def demographic_tokens(age: int, gender: str, vocab: Vocabulary) -> list[int]:
-    """Exactly two ids: the age-bucket token and the gender token."""
-    if gender not in GENDERS:
-        raise ValidationError(f"gender must be one of {GENDERS}, got {gender!r}")
-    gender_token = GENDER_TOKENS[GENDERS.index(gender)]
-    return [vocab.id(age_bucket(age)), vocab.id(gender_token)]
-
-
-def input_matrix(docs, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """(n_docs, max_len) int64 token-id rows: each document's two demographic
-    tokens, then its note tokens, truncated or PAD-extended to the window."""
+def input_matrix(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cells): (n_docs, max_len) int64 token-id rows, each document's two
+    demographic tokens then its note tokens, truncated or PAD-extended to the
+    window; and each document's CELL_IDS row, bucket * 2 + gender."""
     if max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {max_len}")
     notes = [tokenize(d.text, vocab)[: max_len - 2] for d in docs]
     lengths = np.fromiter(map(len, notes), np.int64, len(notes))
     rows = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
-    buckets = np.searchsorted(AGE_BOUNDS, [d.age for d in docs], "right")
-    rows[:, 0] = np.array([vocab.id(t) for t in AGE_TOKENS])[buckets]
-    rows[:, 1] = [vocab.id(GENDER_TOKENS[GENDERS.index(d.gender)]) for d in docs]
+    cells = 2 * np.searchsorted(AGE_BOUNDS, np.array([d.age for d in docs], np.int64), "right")
+    cells += np.array([GENDERS.index(d.gender) for d in docs], np.int64)
+    rows[:, :2] = CELL_IDS[cells]
     rows[:, 2:][np.arange(max_len - 2) < lengths[:, None]] = np.fromiter(
         chain.from_iterable(notes), np.int64, int(lengths.sum()))
-    return rows
-
-
-def build_model_input(doc: Document, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """The input_matrix row of one document."""
-    return input_matrix([doc], vocab, max_len)[0]
+    return rows, cells
 
 
 @dataclass
@@ -258,9 +242,6 @@ class SyntheticConfig:
         if not self.label_skew >= 0.0:  # also rejects NaN
             raise ConfigError(f"label_skew must be non-negative, got {self.label_skew}")
         confound_predicate(self.confound_attribute)  # raises ConfigError if unparseable
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _PREDICATE_RE = re.compile(r"^(age>=|age<)(\d+)$|^gender==([MF])$")

@@ -144,10 +144,6 @@ class Disparity:
     group_b_fpr: float | None
     gap: float | None
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "group_a_fpr": self.group_a_fpr,
-                "group_b_fpr": self.group_b_fpr, "gap": self.gap}
-
 
 def _fpr(pred: np.ndarray, gold: np.ndarray) -> float | None:
     negatives = ~gold
@@ -177,20 +173,6 @@ class EvalReport:
     auc_skipped_labels: list[str]
     disparity: Disparity | None
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_docs": self.n_docs,
-            "macro_auc": self.macro_auc,
-            "micro_auc": self.micro_auc,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "p_at_k": {str(k): v for k, v in sorted(self.p_at_k.items())},
-            "per_label_f1": self.per_label_f1,
-            "auc_skipped_labels": self.auc_skipped_labels,
-            "disparity": None if self.disparity is None else self.disparity.to_dict(),
-        }
-
 
 def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -> EvalReport:
     pred = scores >= 0.5
@@ -217,7 +199,7 @@ def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -
         micro_auc=micro_auc,
         macro_f1=macro_f1,
         micro_f1=micro_f1,
-        p_at_k={k: precision_at_k(scores, gold, k) for k in ks},
+        p_at_k={k: precision_at_k(scores, gold, k) for k in sorted(set(ks))},
         per_label_f1=[float(v) for v in per_label_f1],
         auc_skipped_labels=skipped,
         disparity=disparity,
@@ -253,13 +235,3 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
     return {mode.value: _report(final_scores_from_z(z_k, z_d, z_e, mode), gold, label_space,
                                 mode, ks, confounded_label, in_group_a)
             for mode in modes}
-
-
-def evaluate(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-             mode: InferenceMode = InferenceMode.DECI, ks: tuple[int, ...] = (5,),
-             max_len: int = M.ModelConfig.max_len, confounded_label: str | None = None,
-             confound_attribute: str = SyntheticConfig.confound_attribute) -> EvalReport:
-    """The run_ablation report for a single mode."""
-    return run_ablation(docs, params, vocab, label_space, ks=ks, max_len=max_len,
-                        confounded_label=confounded_label,
-                        confound_attribute=confound_attribute, modes=(mode,))[mode.value]

@@ -11,9 +11,8 @@ Work is done once per distinct input. The encoder and the label logits see
 one token at a time, so each distinct id of a batch is encoded and scored
 against the label queries once. Only the attention weights are per position:
 the attention product gathers encoder rows a few documents at a time.
-z_d depends on a document only through its (age bucket, gender) cell, so
-the demographic view is run on the distinct cells (demographic_cells) and
-gathered per document.
+z_d depends on a document only through its (age bucket, gender) cell, so the
+demographic view is run on the eight rows of corpus.CELL_IDS and gathered.
 
 All math is float64. forward_batch and backward_batch are the one model
 implementation: training, evaluation and prediction all run through them.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, Vocabulary, input_matrix
+from .corpus import CELL_IDS, PAD_ID, Vocabulary, input_matrix
 from .errors import ConfigError, DimensionError
 
 _GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
@@ -87,17 +86,6 @@ class ModelParams:
     hidden_dim = property(lambda self: self.dims[2])
     n_labels = property(lambda self: self.dims[3])
     n_experts = property(lambda self: self.dims[4])
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in param_shapes(*self.dims)}
-
-    def with_arrays(self, arrays: dict) -> "ModelParams":
-        """New parameters of these dims, from one array per name."""
-        shapes = param_shapes(*self.dims)
-        got = {name: np.shape(a) for name, a in arrays.items()}
-        if got != shapes:
-            raise DimensionError(f"expected arrays of shapes {shapes}, got {got}")
-        return ModelParams(self.dims, np.concatenate([np.ravel(arrays[k]) for k in shapes]))
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.dims, self.flat.copy())
@@ -246,7 +234,7 @@ def backward_batch(
     dH += dglog @ params.gate_w.T
 
     A, E = br.attention, br.encoded  # gathered here; its buffer then holds dE and dU
-    dA = dH @ E.transpose(0, 2, 1)
+    dA = np.matmul(dH, E.transpose(0, 2, 1), out=np.empty_like(A))  # A's (L, B, N) layout, as is dalog
     dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
     grads.label_queries += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
     dU = np.matmul(A.transpose(0, 2, 1), dH, out=E)
@@ -262,23 +250,11 @@ def backward_batch(
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack full and demographic-only id rows; trailing all-PAD columns dropped.
-
-    A full row starts with the two demographic ids, which are the whole
-    demographic-only view, so that view is the first two columns.
-    """
-    full = input_matrix(docs, vocab, max_len)
+    """(full id rows with trailing all-PAD columns dropped, cells): each
+    document's demographic-only view is its row of CELL_IDS, CELL_IDS[cells]."""
+    full, cells = input_matrix(docs, vocab, max_len)
     keep = int((full != PAD_ID).sum(axis=1).max())
-    return full[:, :keep], full[:, :2].copy()
-
-
-def demographic_cells(demo_ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, which): the distinct rows of the (B, 2) demographic view, and
-    the row of cells for each input row, so that demo_ids == cells[which]."""
-    # a 1-D key, as np.unique(axis=0) costs about as much as the rows it saves
-    key = demo_ids[:, 0] * vocab_size + demo_ids[:, 1]
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    return demo_ids[first], which
+    return full[:, :keep], cells
 
 
 def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_size: int = 256):
@@ -288,15 +264,14 @@ def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_si
     chunk's full view is only as wide as its first row. The stable order keeps
     input order among equal lengths, so where every row fills the window the
     chunks are consecutive input rows. The demographic view is forwarded once,
-    on the distinct cells of all the documents. Scores are returned in input
-    order.
+    on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     zk, zd, ze = (np.empty((len(docs), params.n_labels)) for _ in range(3))
     if not docs:
         return zk, zd, ze
-    full_ids, demo_ids = batch_inputs(docs, vocab, max_len)
+    full_ids, cells = batch_inputs(docs, vocab, max_len)
     # PAD only trails a row, so its non-PAD count is its width
     lengths = (full_ids != PAD_ID).sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
@@ -304,6 +279,5 @@ def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_si
         rows = order[lo: lo + batch_size]
         full = forward_batch(params, full_ids[rows, :lengths[rows[0]]])
         zk[rows], ze[rows] = full.gated, full.uniform
-    cells, which = demographic_cells(demo_ids, params.vocab_size)
-    zd[:] = forward_batch(params, cells).gated[which]
+    zd[:] = forward_batch(params, CELL_IDS).gated[cells]
     return zk, zd, ze

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .corpus import LabelSpace, Vocabulary
+from .corpus import CELL_IDS, LabelSpace, Vocabulary
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .evaluation import InferenceMode, f1_scores, final_scores_from_z, roc_auc
 from .numerics import sigmoid
@@ -72,16 +72,18 @@ def _bce_and_grad(z: np.ndarray, y: np.ndarray):
     return loss, (sigmoid(z) - y) / z.size
 
 
-def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
+def batch_loss(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
+               label_space: LabelSpace, max_len: int = M.ModelConfig.max_len, want_grads: bool = True):
+    """(total, {"loss_k", "loss_d", "loss_e"}, gradient) of the three-term objective, averaged
+    over the batch. The gradient is a ModelParams, or None without want_grads."""
     if not docs:
         raise ValueError("empty document batch")
-    full_ids, demo_ids = M.batch_inputs(docs, vocab, max_len)
-    cells, which = M.demographic_cells(demo_ids, params.vocab_size)
+    full_ids, cells = M.batch_inputs(docs, vocab, max_len)
     full = M.forward_batch(params, full_ids)
-    demo = M.forward_batch(params, cells)
+    demo = M.forward_batch(params, CELL_IDS)
     y = label_space.multi_hot_rows(docs)
     loss_k, gk = _bce_and_grad(full.gated, y)
-    loss_d, gd = _bce_and_grad(demo.gated[which], y)
+    loss_d, gd = _bce_and_grad(demo.gated[cells], y)
     loss_e, ge = _bce_and_grad(full.uniform, y)
     total = loss_k + cfg.alpha * loss_d + cfg.beta * loss_e
     parts = {"loss_k": loss_k, "loss_d": loss_d, "loss_e": loss_e}
@@ -91,23 +93,9 @@ def _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads):
     M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:
         d_cells = np.zeros_like(demo.gated)
-        np.add.at(d_cells, which, cfg.alpha * gd)  # each document's z_d is its cell's
+        np.add.at(d_cells, cells, cfg.alpha * gd)  # each document's z_d is its cell's
         M.backward_batch(params, demo, d_cells, np.zeros_like(d_cells), grads)
     return total, parts, grads
-
-
-def total_loss(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
-               label_space: LabelSpace, max_len: int = M.ModelConfig.max_len) -> float:
-    """Mean over the batch of the three-term objective."""
-    loss, _, _ = _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads=False)
-    return loss
-
-
-def loss_and_grads(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
-                   label_space: LabelSpace, max_len: int = M.ModelConfig.max_len):
-    """(total loss, {array name: gradient}) for one batch."""
-    loss, _, grads = _batch_loss(docs, params, cfg, vocab, label_space, max_len, want_grads=True)
-    return loss, grads.named_arrays()
 
 
 def clip_gradients(grads: M.ModelParams, max_norm: float) -> float:
@@ -192,7 +180,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
         for start in range(0, n, cfg.batch_size):
             idx = order[start: start + cfg.batch_size]
             batch = [train_docs[i] for i in idx]
-            loss, parts, grads = _batch_loss(batch, params, cfg, vocab, label_space, max_len, want_grads=True)
+            loss, parts, grads = batch_loss(batch, params, cfg, vocab, label_space, max_len)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size}")
             clip_gradients(grads, cfg.grad_clip_norm)

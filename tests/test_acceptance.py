@@ -22,8 +22,9 @@ from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_syntheti
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
 from deci.model import forward_batch, init_params, pathway_scores_batch
 from deci.numerics import sigmoid
-from deci.training import TrainConfig, load_checkpoint, save_checkpoint, train, total_loss, loss_and_grads
+from deci.training import TrainConfig, batch_loss, load_checkpoint, save_checkpoint, train
 from gradcheck import finite_difference_check
+from param_arrays import named_arrays, with_arrays
 
 
 def _line(criterion: str, passed: bool, detail: str) -> None:
@@ -47,9 +48,7 @@ def test_criterion_1_gradient_suite():
     labels = LabelSpace([f"C{i:03d}" for i in range(5)])
     base = init_params(vocab.size, 5, embed_dim=8, hidden_dim=8, n_experts=2, seed=0)
     rng = np.random.default_rng(0)
-    base = base.with_arrays(
-        {k: v + rng.normal(0, 0.2, v.shape) for k, v in base.named_arrays().items()}
-    )
+    base = with_arrays(base, {k: v + rng.normal(0, 0.2, v.shape) for k, v in named_arrays(base).items()})
     batch = [
         Document(id="a", text="w0 w1 w2 w3", age=70, gender="F", codes=("C000", "C003")),
         Document(id="b", text="w4 w5", age=30, gender="M", codes=("C001",)),
@@ -57,15 +56,13 @@ def test_criterion_1_gradient_suite():
     ]
     cfg = TrainConfig(alpha=0.5, beta=0.5)
 
-    def loss_fn(arrays):
-        p = base.with_arrays({k: np.asarray(v) for k, v in arrays.items()})
-        return total_loss(batch, p, cfg, vocab, labels, max_len=8)
+    def loss_fn(p):
+        return batch_loss(batch, p, cfg, vocab, labels, max_len=8, want_grads=False)[0]
 
-    def grad_fn(arrays):
-        p = base.with_arrays({k: np.asarray(v) for k, v in arrays.items()})
-        return loss_and_grads(batch, p, cfg, vocab, labels, max_len=8)[1]
+    def grad_fn(p):
+        return batch_loss(batch, p, cfg, vocab, labels, max_len=8)[2].flat
 
-    report = finite_difference_check(loss_fn, grad_fn, base.named_arrays(), step=1e-5, tol=1e-3)
+    report = finite_difference_check(loss_fn, grad_fn, base, step=1e-5, tol=1e-3)
     elapsed = time.time() - t0
     ok = report.passed and elapsed < 60.0
     _line("criterion 1 (gradient suite)", ok,
@@ -83,35 +80,28 @@ def test_criterion_2_structural_identities():
     for i in range(draws):
         L, F, H = int(rng.integers(2, 7)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
         params = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=F, seed=i)
-        jitter = {k: v + rng.normal(0, 0.5, v.shape) for k, v in params.named_arrays().items()}
+        jitter = {k: v + rng.normal(0, 0.5, v.shape) for k, v in named_arrays(params).items()}
         # a batch of id rows with PAD tails; the first id of each row is a token
         ids = rng.integers(1, 10, size=(3, 6))
         ids[np.arange(6) >= rng.integers(1, 7, size=(3, 1))] = 0
 
         # zero gate logits: gated mixture equals the uniform mixture bitwise
-        zero_gate = params.with_arrays(
-            {**jitter, "gate_w": np.zeros((H, F)), "gate_bias": np.zeros(F)}
-        )
+        zero_gate = with_arrays(params, {**jitter, "gate_w": np.zeros((H, F)), "gate_bias": np.zeros(F)})
         br = forward_batch(zero_gate, ids)
         np.testing.assert_array_equal(br.gated, br.uniform)
 
         # a single expert makes the gate irrelevant
         single = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=1, seed=i)
-        single = single.with_arrays(
-            {k: v + rng.normal(0, 0.5, v.shape) for k, v in single.named_arrays().items()}
-        )
+        single = with_arrays(
+            single, {k: v + rng.normal(0, 0.5, v.shape) for k, v in named_arrays(single).items()})
         br = forward_batch(single, ids)
         np.testing.assert_array_equal(br.gated, br.uniform)
 
         # swapping two experts leaves the uniform mixture bitwise unchanged
         two = init_params(10, L, embed_dim=4, hidden_dim=H, n_experts=2, seed=i)
-        two = two.with_arrays(
-            {k: v + rng.normal(0, 0.5, v.shape) for k, v in two.named_arrays().items()}
-        )
-        swapped = two.with_arrays(
-            {**two.named_arrays(), "expert_w": two.expert_w[::-1].copy(),
-             "expert_b": two.expert_b[::-1].copy()}
-        )
+        two = with_arrays(two, {k: v + rng.normal(0, 0.5, v.shape) for k, v in named_arrays(two).items()})
+        swapped = with_arrays(two, {**named_arrays(two), "expert_w": two.expert_w[::-1].copy(),
+                                    "expert_b": two.expert_b[::-1].copy()})
         np.testing.assert_array_equal(forward_batch(two, ids).uniform, forward_batch(swapped, ids).uniform)
 
         # sign and range of the debiased score: the subtraction lies in (-1, 1)
@@ -305,9 +295,7 @@ def test_criterion_6_persistence(tmp_path):
     path = tmp_path / "model.deci"
     save_checkpoint(path, best, vocab, labels, max_len=10)
     ckpt = load_checkpoint(path)
-    cast = best.with_arrays(
-        {k: v.astype("<f4").astype(np.float64) for k, v in best.named_arrays().items()}
-    )
+    cast = with_arrays(best, {k: v.astype("<f4").astype(np.float64) for k, v in named_arrays(best).items()})
     want = final_scores_from_z(*pathway_scores_batch(cast, test_docs, vocab, 10),
                                InferenceMode.DECI)
     got = final_scores_from_z(*pathway_scores_batch(ckpt.params, test_docs, ckpt.vocab, ckpt.max_len),
@@ -362,8 +350,8 @@ def test_criterion_7_end_to_end_determinism(tmp_path, capsys):
     one = load_checkpoint(tmp_path / "one" / "run" / "checkpoint.deci")
     two = load_checkpoint(tmp_path / "two" / "run" / "checkpoint.deci")
     params_identical = all(
-        np.array_equal(arr, two.params.named_arrays()[k])
-        for k, arr in one.params.named_arrays().items()
+        np.array_equal(arr, named_arrays(two.params)[k])
+        for k, arr in named_arrays(one.params).items()
     )
     _line("criterion 7 (determinism)", identical and params_identical,
           f"reports byte-identical={identical}, trained parameters bit-identical={params_identical}")

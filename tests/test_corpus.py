@@ -9,6 +9,7 @@ internals.
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from deci.corpus import (
     AGE_TOKENS,
+    CELL_IDS,
     GENDER_TOKENS,
     PAD_ID,
     RESERVED_TOKENS,
@@ -25,11 +27,9 @@ from deci.corpus import (
     LabelSpace,
     SyntheticConfig,
     Vocabulary,
-    age_bucket,
-    build_model_input,
     confound_predicate,
-    demographic_tokens,
     generate_synthetic,
+    input_matrix,
     load_jsonl,
     save_jsonl,
     synthetic_label_space,
@@ -60,7 +60,7 @@ def test_tokenize_unknown_maps_to_unk(small_vocab):
 
 
 def test_tokenize_empty_and_padding(small_vocab):
-    # tokenize neither pads nor truncates; build_model_input fits the window
+    # tokenize neither pads nor truncates; input_matrix fits the window
     assert tokenize("", small_vocab) == []
     assert tokenize("aspirin", small_vocab) == [small_vocab.id("aspirin")]
     assert len(tokenize("aspirin " * 300, small_vocab)) == 300
@@ -103,40 +103,49 @@ def test_words_match_the_regex_on_any_text(text):
     assert words(text) == findall_words(text)
 
 
-def test_age_bucket_boundaries():
-    assert age_bucket(0) == "[AGE_0_17]"
-    assert age_bucket(17) == "[AGE_0_17]"
-    assert age_bucket(18) == "[AGE_18_44]"
-    assert age_bucket(44) == "[AGE_18_44]"
-    assert age_bucket(45) == "[AGE_45_64]"
-    assert age_bucket(64) == "[AGE_45_64]"
-    assert age_bucket(65) == "[AGE_65_PLUS]"  # 65 itself is in the top bucket
-    assert age_bucket(84) == "[AGE_65_PLUS]"
-    assert age_bucket(129) == "[AGE_65_PLUS]"
+def model_input(doc, vocab, max_len):
+    """The input_matrix row of one document."""
+    return input_matrix([doc], vocab, max_len)[0][0]
+
+
+def test_age_bucket_boundaries(small_vocab):
+    # (age, bucket): 65 itself is in the top bucket
+    buckets = [(0, 0), (17, 0), (18, 1), (44, 1), (45, 2), (64, 2), (65, 3), (129, 3)]
+    docs = [Document(id="d", text="atrial", age=age, gender=gender)
+            for age, _ in buckets for gender in ("M", "F")]
+    rows, cells = input_matrix(docs, small_vocab, max_len=4)
+    np.testing.assert_array_equal(cells, [bucket * 2 + gender for _, bucket in buckets for gender in (0, 1)])
+    np.testing.assert_array_equal(rows[:, :2], CELL_IDS[cells])
+    assert rows[0, :2].tolist() == [small_vocab.id("[AGE_0_17]"), small_vocab.id("[GENDER_M]")]
+    assert rows[-1, :2].tolist() == [small_vocab.id("[AGE_65_PLUS]"), small_vocab.id("[GENDER_F]")]
 
 
 def test_age_bucket_rejects_out_of_range():
+    # the buckets cover [0, MAX_AGE); a document outside it is never built
     for bad in (-1, 130, 1000):
         with pytest.raises(ValidationError):
-            age_bucket(bad)
+            Document(id="d", text="", age=bad, gender="M")
 
 
 def test_demographic_tokens_pairs(small_vocab):
-    ids = demographic_tokens(84, "F", small_vocab)
-    assert ids == [small_vocab.id("[AGE_65_PLUS]"), small_vocab.id("[GENDER_F]")]
-    ids = demographic_tokens(17, "M", small_vocab)
-    assert ids == [small_vocab.id("[AGE_0_17]"), small_vocab.id("[GENDER_M]")]
-    assert len(ids) == 2
+    # every vocabulary reserves the demographic tokens at the ids CELL_IDS holds
+    other = Vocabulary.from_documents([Document(id="d", text="zeta alpha", age=1, gender="M")])
+    assert other != small_vocab
+    for vocab in (small_vocab, other):
+        want = [[vocab.id(age), vocab.id(gender)] for age in AGE_TOKENS for gender in GENDER_TOKENS]
+        assert CELL_IDS.tolist() == want
+    assert CELL_IDS.shape == (8, 2) and CELL_IDS.dtype == np.int64
 
 
-def test_demographic_tokens_rejects_bad_gender(small_vocab):
+def test_demographic_tokens_rejects_bad_gender():
+    # a gender without a token never reaches input_matrix: the document is refused
     with pytest.raises(ValidationError):
-        demographic_tokens(30, "X", small_vocab)
+        Document(id="d", text="", age=30, gender="X")
 
 
 def test_build_model_input_full(small_vocab):
     doc = Document(id="d", text="atrial fibrillation", age=70, gender="F")
-    row = build_model_input(doc, small_vocab, max_len=6)
+    row = model_input(doc, small_vocab, max_len=6)
     expected = [
         small_vocab.id("[AGE_65_PLUS]"),
         small_vocab.id("[GENDER_F]"),
@@ -152,7 +161,7 @@ def test_build_model_input_full(small_vocab):
 def test_build_model_input_demographic_only(small_vocab):
     # a note without text gives the demographic tokens followed by PAD
     doc = Document(id="d", text="", age=70, gender="F")
-    row = build_model_input(doc, small_vocab, max_len=6)
+    row = model_input(doc, small_vocab, max_len=6)
     assert row[0] == small_vocab.id("[AGE_65_PLUS]")
     assert row[1] == small_vocab.id("[GENDER_F]")
     assert row[2:].tolist() == [PAD_ID] * 4
@@ -161,7 +170,7 @@ def test_build_model_input_demographic_only(small_vocab):
 def test_build_model_input_truncation_keeps_demographics(small_vocab):
     # the demographic prefix survives even when text overflows the window
     doc = Document(id="d", text="atrial fibrillation aspirin", age=20, gender="M")
-    row = build_model_input(doc, small_vocab, max_len=3)
+    row = model_input(doc, small_vocab, max_len=3)
     assert row[0] == small_vocab.id("[AGE_18_44]")
     assert row[1] == small_vocab.id("[GENDER_M]")
     assert row[2] == small_vocab.id("atrial")  # the note keeps its first tokens
@@ -171,7 +180,7 @@ def test_build_model_input_truncation_keeps_demographics(small_vocab):
 def test_build_model_input_window_too_small(small_vocab):
     doc = Document(id="d", text="x", age=20, gender="M")
     with pytest.raises(ConfigError):
-        build_model_input(doc, small_vocab, max_len=1)
+        model_input(doc, small_vocab, max_len=1)
 
 
 def test_document_sorts_codes_and_validates():
@@ -322,7 +331,7 @@ def test_generate_deterministic():
     a = generate_synthetic(SMALL)
     b = generate_synthetic(SMALL)
     assert a == b
-    c = generate_synthetic(SyntheticConfig(**{**SMALL.to_dict(), "seed": 8}))
+    c = generate_synthetic(replace(SMALL, seed=8))
     assert a != c
 
 

@@ -5,7 +5,8 @@ counts and a per-document oracle; F1 against hand counts; the mode algebra
 against its exact reduction identities.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_syntheti
 from deci.errors import ConfigError, DimensionError, EvaluationError, ValidationError
 from deci.evaluation import (
     InferenceMode,
-    evaluate,
     f1_scores,
     final_scores_from_z,
     precision_at_k,
@@ -25,6 +25,7 @@ from deci.evaluation import (
     run_ablation,
 )
 from deci.model import ModelConfig, init_params
+from param_arrays import named_arrays, with_arrays
 
 # mpmath: sigmoid(2) and sigmoid(sigmoid(2) - sigmoid(0))
 SIGMOID_2 = 0.88079707797788244406
@@ -260,30 +261,28 @@ def eval_world():
     labels = synthetic_label_space(cfg)
     rng = np.random.default_rng(6)
     params = init_params(vocab.size, len(labels), embed_dim=8, hidden_dim=8, n_experts=2, seed=5)
-    params = params.with_arrays(
-        {k: v + rng.normal(0, 0.2, v.shape) for k, v in params.named_arrays().items()}
-    )
+    params = with_arrays(params, {k: v + rng.normal(0, 0.2, v.shape) for k, v in named_arrays(params).items()})
     return test_docs, params, vocab, labels
 
 
 def test_evaluate_report_contents(eval_world):
     docs, params, vocab, labels = eval_world
-    report = evaluate(docs, params, vocab, labels, ks=(1, 5), max_len=10,
-                      confounded_label="C000")
+    report = run_ablation(docs, params, vocab, labels, ks=(5, 1, 5), max_len=10,
+                          confounded_label="C000", modes=(InferenceMode.DECI,))["deci"]
     assert report.mode == "deci"
     assert report.n_docs == len(docs)
-    assert set(report.p_at_k) == {1, 5}
+    assert list(report.p_at_k) == [1, 5]  # in sorted order, each k once
     assert len(report.per_label_f1) == len(labels)
     assert 0.0 <= report.micro_auc <= 1.0
-    d = report.to_dict()
+    d = json.loads(json.dumps(asdict(report)))
     assert d["disparity"]["label"] == "C000"
-    assert set(d["p_at_k"]) == {"1", "5"}
+    assert list(d["p_at_k"]) == ["1", "5"]
 
 
 def test_evaluate_is_document_order_invariant(eval_world):
     docs, params, vocab, labels = eval_world
-    a = evaluate(docs, params, vocab, labels, max_len=10, confounded_label="C000")
-    b = evaluate(list(reversed(docs)), params, vocab, labels, max_len=10, confounded_label="C000")
+    a = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000")["deci"]
+    b = run_ablation(list(reversed(docs)), params, vocab, labels, max_len=10, confounded_label="C000")["deci"]
     assert a.micro_f1 == b.micro_f1
     assert a.macro_f1 == b.macro_f1
     assert a.micro_auc == b.micro_auc
@@ -295,7 +294,7 @@ def test_evaluate_is_document_order_invariant(eval_world):
 def test_evaluate_rejects_empty(eval_world):
     _, params, vocab, labels = eval_world
     with pytest.raises(EvaluationError):
-        evaluate([], params, vocab, labels, max_len=10)
+        run_ablation([], params, vocab, labels, max_len=10)
 
 
 def test_evaluate_all_degenerate_raises(eval_world):
@@ -304,7 +303,7 @@ def test_evaluate_all_degenerate_raises(eval_world):
     docs = [Document(id=f"d{i}", text="k000w0", age=30, gender="M", codes=("C000",))
             for i in range(4)]
     with pytest.raises(EvaluationError, match="degenerate"):
-        evaluate(docs, params, vocab, labels, max_len=10)
+        run_ablation(docs, params, vocab, labels, max_len=10)
 
 
 def test_run_ablation_covers_all_modes(eval_world):
@@ -318,9 +317,9 @@ def test_run_ablation_covers_all_modes(eval_world):
     assert table["deci"].micro_f1 == table["knowledge-only"].micro_f1
     assert table["deci"].per_label_f1 == table["knowledge-only"].per_label_f1
     # single forward pass: ablation equals standalone evaluation per mode
-    solo = evaluate(docs, params, vocab, labels, max_len=10,
-                    confounded_label="C000", mode=InferenceMode.NAIVE)
-    assert solo.to_dict() == table["naive"].to_dict()
+    solo = run_ablation(docs, params, vocab, labels, max_len=10,
+                        confounded_label="C000", modes=(InferenceMode.NAIVE,))["naive"]
+    assert solo == table["naive"]
 
 
 def test_max_len_defaults_to_the_model_config_window(eval_world):
@@ -331,11 +330,9 @@ def test_max_len_defaults_to_the_model_config_window(eval_world):
     window = ModelConfig.max_len
     table = run_ablation(long_docs, params, vocab, labels, confounded_label="C000")
     want = run_ablation(long_docs, params, vocab, labels, max_len=window, confounded_label="C000")
-    assert {m: r.to_dict() for m, r in table.items()} == {m: r.to_dict() for m, r in want.items()}
-    report = evaluate(long_docs, params, vocab, labels, confounded_label="C000")
-    assert report.to_dict() == want["deci"].to_dict()
-    wider = evaluate(long_docs, params, vocab, labels, max_len=32, confounded_label="C000")
-    assert wider.to_dict() != report.to_dict()
+    assert table == want
+    wider = run_ablation(long_docs, params, vocab, labels, max_len=32, confounded_label="C000")
+    assert wider["deci"] != table["deci"]
 
 
 @pytest.mark.parametrize("ks", [(0,), (1, 7)])
@@ -369,7 +366,7 @@ def test_run_ablation_modes_subset(eval_world):
                           confounded_label="C000", modes=modes)
     assert list(subset) == ["wo-ze", "deci"]
     for mode, report in subset.items():
-        assert report.to_dict() == full[mode].to_dict()
+        assert report == full[mode]
 
 
 BIAS_AUDIT_MODES = (InferenceMode.DECI, InferenceMode.NAIVE)

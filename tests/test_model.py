@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from deci import model
 from deci.corpus import (
-    PAD_ID, RESERVED_TOKENS, Document, Vocabulary, build_model_input, demographic_tokens, tokenize,
+    AGE_TOKENS, CELL_IDS, GENDER_TOKENS, GENDERS, PAD_ID, RESERVED_TOKENS, Document, Vocabulary,
+    input_matrix, tokenize,
 )
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
@@ -28,6 +29,7 @@ from deci.model import (
     init_params, pathway_scores_batch,
 )
 from deci.numerics import sigmoid
+from param_arrays import named_arrays, with_arrays
 
 
 @pytest.fixture
@@ -44,8 +46,8 @@ def randomized(params, seed):
     """Copy of params with every zero-initialized array perturbed, so tests
     do not silently pass because a bias happened to be zero."""
     rng = np.random.default_rng(seed)
-    arrays = {k: v + rng.normal(0, 0.3, size=v.shape) for k, v in params.named_arrays().items()}
-    return params.with_arrays(arrays)
+    arrays = {k: v + rng.normal(0, 0.3, size=v.shape) for k, v in named_arrays(params).items()}
+    return with_arrays(params, arrays)
 
 
 def branch(params, *rows):
@@ -84,14 +86,14 @@ def test_init_shapes_and_zeros(params, vocab):
     bound = np.sqrt(6.0 / (7 + 6))
     assert np.all(np.abs(params.enc_proj) <= bound)
     for name in ("enc_bias", "expert_b", "gate_w", "gate_bias"):
-        assert not params.named_arrays()[name].any(), name
+        assert not named_arrays(params)[name].any(), name
 
 
 def test_init_deterministic(vocab):
     a = init_params(vocab.size, 5, seed=3)
     b = init_params(vocab.size, 5, seed=3)
-    for k, arr in a.named_arrays().items():
-        np.testing.assert_array_equal(arr, b.named_arrays()[k])
+    for k, arr in named_arrays(a).items():
+        np.testing.assert_array_equal(arr, named_arrays(b)[k])
     c = init_params(vocab.size, 5, seed=4)
     assert (a.embedding != c.embedding).any()
 
@@ -209,13 +211,11 @@ def test_zk_equals_ze_with_single_expert(vocab):
 def test_ze_invariant_to_expert_order_with_two_experts(vocab):
     p = randomized(init_params(vocab.size, 4, embed_dim=7, hidden_dim=6, n_experts=2, seed=3), 16)
     ids = random_rows(vocab.size, 17)
-    swapped = p.with_arrays(
-        {
-            **p.named_arrays(),
-            "expert_w": p.expert_w[::-1].copy(),
-            "expert_b": p.expert_b[::-1].copy(),
-        }
-    )
+    swapped = with_arrays(p, {
+        **named_arrays(p),
+        "expert_w": p.expert_w[::-1].copy(),
+        "expert_b": p.expert_b[::-1].copy(),
+    })
     # the two-term mean is commutative in floating point
     np.testing.assert_array_equal(forward_batch(p, ids).uniform, forward_batch(swapped, ids).uniform)
 
@@ -274,13 +274,13 @@ def test_forward_combines_pathways(params, vocab):
     p = randomized(params, 20)
     docs = [Document(id="d", text="w1 w4 w4", age=50, gender="M")]
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8)
-    full_ids, demo_ids = batch_inputs(docs, vocab, 8)
-    full, demo = forward_batch(p, full_ids), forward_batch(p, demo_ids)
+    full_ids, cells = batch_inputs(docs, vocab, 8)
+    full, demo = forward_batch(p, full_ids), forward_batch(p, CELL_IDS)
     np.testing.assert_array_equal(zk, full.gated)
-    np.testing.assert_array_equal(zd, demo.gated)
+    np.testing.assert_array_equal(zd, demo.gated[cells])
     np.testing.assert_array_equal(ze, full.uniform)
     # z_e comes from the full view, not the demographic view
-    assert (ze != demo.uniform).any()
+    assert (ze != demo.uniform[cells]).any()
 
 
 def test_forward_batch_matches_per_document(params, vocab):
@@ -294,7 +294,7 @@ def test_forward_batch_matches_per_document(params, vocab):
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=6, batch_size=3)
     assert zk.shape == (4, 5)
     for i, doc in enumerate(docs):
-        row = build_model_input(doc, vocab, 6)
+        row = parent_model_input(doc, vocab, 6)
         gated, uniform = reference_pathways(p, row)
         np.testing.assert_allclose(zk[i], gated, atol=1e-12)
         np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
@@ -335,10 +335,20 @@ def test_scoring_forwards_the_demographic_view_once_per_cell(params, vocab, monk
 
     monkeypatch.setattr(model, "forward_batch", spy)
     pathway_scores_batch(params, docs, vocab, max_len=8, batch_size=3)
-    cells = {tuple(row) for row in batch_inputs(docs, vocab, 8)[1]}
-    assert len(cells) < len(docs)  # some notes share a cell
     assert len(seen) == 1  # one demographic forward per call
-    assert sorted(map(tuple, seen[0])) == sorted(cells)  # each cell exactly once
+    np.testing.assert_array_equal(seen[0], CELL_IDS)  # each of the eight cells exactly once
+
+
+def test_zd_of_a_note_is_the_same_alone_and_among_other_cells(params, vocab):
+    p = randomized(params, 26)
+    note = Document(id="n", text="w2 w8", age=30, gender="M")
+    others = [Document(id=str(age), text="w1 w5 w7", age=age, gender=gender)
+              for age, gender in ((5, "M"), (50, "F"), (70, "M"), (30, "F"), (90, "F"), (12, "F"))]
+    cells = batch_inputs([note] + others, vocab, 8)[1]
+    assert cells[0] not in cells[1:]  # every batch-mate is in another cell
+    alone = pathway_scores_batch(p, [note], vocab, max_len=8)[1][0]
+    among = pathway_scores_batch(p, others[:3] + [note] + others[3:], vocab, max_len=8)[1][3]
+    assert alone.tobytes() == among.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3, 256])
@@ -348,7 +358,7 @@ def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
     docs = notes_of_lengths([4, 0, 9, 4, 2, 7, 4, 12, 1, 0, 6], seed=1)
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=9, batch_size=batch_size)
     for i, doc in enumerate(docs):
-        row = build_model_input(doc, vocab, 9)
+        row = parent_model_input(doc, vocab, 9)
         gated, uniform = reference_pathways(p, row)
         np.testing.assert_allclose(zk[i], gated, atol=1e-12)
         np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
@@ -366,10 +376,10 @@ def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab):
     docs = notes_of_lengths([9, 6, 14, 6, 8, 11, 7], seed=3)
     zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8, batch_size=3)
     for lo in range(0, len(docs), 3):
-        full_ids, demo_ids = batch_inputs(docs[lo: lo + 3], vocab, 8)
-        full, demo = forward_batch(p, full_ids), forward_batch(p, demo_ids)
+        full_ids, cells = batch_inputs(docs[lo: lo + 3], vocab, 8)
+        full = forward_batch(p, full_ids)
         np.testing.assert_array_equal(zk[lo: lo + 3], full.gated)
-        np.testing.assert_array_equal(zd[lo: lo + 3], demo.gated)
+        np.testing.assert_array_equal(zd[lo: lo + 3], forward_batch(p, CELL_IDS).gated[cells])
         np.testing.assert_array_equal(ze[lo: lo + 3], full.uniform)
 
 
@@ -449,14 +459,22 @@ def test_forward_batch_never_gathers_every_position_at_once():
     np.testing.assert_array_equal(br.where, where.reshape(ids.shape))
 
 
+def demographic_tokens(age, gender, vocab):
+    """The age-bucket and gender token ids of one document, looked up in vocab."""
+    bucket = AGE_TOKENS[(age >= 18) + (age >= 45) + (age >= 65)]
+    return [vocab.id(bucket), vocab.id(GENDER_TOKENS[GENDERS.index(gender)])]
+
+
 def parent_model_input(doc, vocab, max_len):
-    """build_model_input as first written, one document at a time: the
+    """An input_matrix row as first written, one document at a time: the
     demographic ids, then tokenize's ids, cut and PAD-extended to the window."""
     ids = (demographic_tokens(doc.age, doc.gender, vocab) + tokenize(doc.text, vocab))[:max_len]
     return np.asarray(ids + [PAD_ID] * (max_len - len(ids)), dtype=np.int64)
 
 
 def parent_batch_inputs(docs, vocab, max_len):
+    """(full rows, demographic-only rows) of a batch, the full rows' trailing
+    all-PAD columns dropped."""
     full = np.stack([parent_model_input(d, vocab, max_len) for d in docs])
     keep = int((full != PAD_ID).sum(axis=1).max())
     return full[:, :keep], full[:, :2].copy()
@@ -473,28 +491,28 @@ def test_batch_inputs_match_the_per_document_rows(vocab):
     for max_len in (2, 3, 7, 16, 64):
         for batch in (docs, docs[:1], docs[3:4], docs[::5]):
             want_full, want_demo = parent_batch_inputs(batch, vocab, max_len)
-            full, demo = batch_inputs(batch, vocab, max_len)
-            assert full.dtype == demo.dtype == np.int64
+            full, cells = batch_inputs(batch, vocab, max_len)
+            assert full.dtype == cells.dtype == np.int64
             np.testing.assert_array_equal(full, want_full)
-            np.testing.assert_array_equal(demo, want_demo)
+            np.testing.assert_array_equal(CELL_IDS[cells], want_demo)
         for doc in docs:
-            row = build_model_input(doc, vocab, max_len)
+            row = input_matrix([doc], vocab, max_len)[0][0]
             assert row.dtype == np.int64
             np.testing.assert_array_equal(row, parent_model_input(doc, vocab, max_len))
     for max_len in (1, 0, -1):
         with pytest.raises(ConfigError):
             batch_inputs(docs, vocab, max_len)
         with pytest.raises(ConfigError):
-            build_model_input(docs[0], vocab, max_len)
+            input_matrix(docs[:1], vocab, max_len)
 
 
 def test_batch_inputs_layout(params, vocab):
     docs = [Document(id="a", text="w0 w1 w2", age=70, gender="F")]
-    full, demo = batch_inputs(docs, vocab, max_len=4)
+    full, cells = batch_inputs(docs, vocab, max_len=4)
     assert full.shape == (1, 4)
-    assert demo.shape == (1, 2)  # the demographic view never needs more columns
-    assert full[0, 0] == demo[0, 0] == vocab.id("[AGE_65_PLUS]")
-    assert full[0, 1] == demo[0, 1] == vocab.id("[GENDER_F]")
+    assert cells.tolist() == [3 * 2 + 1]  # the top age bucket, then F
+    assert full[0, 0] == CELL_IDS[cells[0], 0] == vocab.id("[AGE_65_PLUS]")
+    assert full[0, 1] == CELL_IDS[cells[0], 1] == vocab.id("[GENDER_F]")
     assert full[0, 2] == vocab.id("w0")
 
 
@@ -603,13 +621,13 @@ def compare_with_einsum(p, ids, d_gated, d_uniform, start_grads):
     assert set(vars(ref)) <= set(BatchBranch.__dataclass_fields__) | set(per_position)
     for name in vars(ref):
         assert_close_to_reference(per_position.get(name, getattr(new, name)), getattr(ref, name), name)
-    new_grads = p.with_arrays(start_grads)
+    new_grads = with_arrays(p, start_grads)
     ref_grads = {k: g.copy() for k, g in start_grads.items()}
     backward_batch(p, new, d_gated, d_uniform, new_grads)
     einsum_backward_batch(p, ref, d_gated, d_uniform, ref_grads)
-    for name, arr in new_grads.named_arrays().items():
+    for name, arr in named_arrays(new_grads).items():
         assert_close_to_reference(arr, ref_grads[name], f"grad {name}")
-    return new_grads.named_arrays()
+    return named_arrays(new_grads)
 
 
 def random_case(rng, i):
@@ -638,7 +656,7 @@ def test_matmul_formulation_matches_einsum_reference():
         p, ids = random_case(rng, i)
         B, L = ids.shape[0], p.n_labels
         d_gated, d_uniform = rng.normal(size=(B, L)), rng.normal(size=(B, L))
-        start = ModelParams(p.dims).named_arrays()
+        start = named_arrays(ModelParams(p.dims))
         if i % 2:  # the demographic branch adds onto the full branch's gradients
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         compare_with_einsum(p, ids, d_gated, d_uniform, start)
@@ -657,7 +675,7 @@ def test_embedding_gradient_matches_add_at(params, vocab, onto_nonzero):
     ]
     for ids in batches:
         B = ids.shape[0]
-        start = ModelParams(p.dims).named_arrays()
+        start = named_arrays(ModelParams(p.dims))
         if onto_nonzero:
             start = {k: rng.normal(size=g.shape) for k, g in start.items()}
         grads = compare_with_einsum(p, ids, rng.normal(size=(B, 5)), rng.normal(size=(B, 5)), start)
@@ -681,7 +699,7 @@ def test_backward_batch_adds_in_place_into_flat(params, vocab, onto_nonzero):
     backward_batch(p, forward_batch(p, ids), d_gated, d_uniform, grads)
     # the same buffer, with every view still a window of it, holds start + gradient
     assert grads.flat is buffer
-    for name, arr in grads.named_arrays().items():
+    for name, arr in named_arrays(grads).items():
         assert np.shares_memory(arr, buffer), name
     np.testing.assert_allclose(buffer, start + alone.flat, rtol=0, atol=1e-12)
     if not onto_nonzero:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deci.errors import DimensionError, NumericalError
+from deci.model import ModelParams
 from deci.numerics import sigmoid
 from gradcheck import finite_difference_check
 
@@ -47,44 +48,52 @@ def test_sigmoid_monotone(x, dx):
     assert sigmoid(x + dx) >= sigmoid(x)
 
 
+def params_of(w):
+    """ModelParams whose (len(w), 1) embedding holds w; every other entry is 0."""
+    params = ModelParams((len(w), 1, 1, 1, 1))
+    params.embedding[:, 0] = w
+    return params
+
+
 def quadratic_loss(params):
-    return 0.5 * sum(float(np.sum(v * v)) for v in params.values())
+    return 0.5 * float(np.sum(params.flat * params.flat))
 
 
 def quadratic_grad(params):
-    return {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    return params.flat.copy()
 
 
 def test_gradcheck_accepts_correct_gradient():
-    params = {"w": np.array([1.0, -2.0, 0.5]), "b": np.array([[0.3]])}
+    params = params_of([1.0, -2.0, 0.5])
+    params.enc_proj[:] = 0.3
     report = finite_difference_check(quadratic_loss, quadratic_grad, params)
     assert report.passed
     assert report.max_relative_error <= 1e-6
 
 
 def test_gradcheck_constant_loss_zero_grad():
-    params = {"w": np.array([1.0, 2.0])}
+    params = params_of([1.0, 2.0])
     report = finite_difference_check(
-        lambda p: 3.0, lambda p: {"w": np.zeros(2)}, params
+        lambda p: 3.0, lambda p: np.zeros(p.flat.size), params
     )
     assert report.passed
     assert report.max_relative_error == 0.0
 
 
 def test_gradcheck_flags_wrong_gradient():
-    params = {"w": np.array([1.0, 3.0])}
+    params = params_of([1.0, 3.0])
     report = finite_difference_check(
         quadratic_loss,
-        lambda p: {"w": 2.0 * np.asarray(p["w"])},  # off by a factor of two
+        lambda p: 2.0 * p.flat,  # off by a factor of two
         params,
     )
     assert not report.passed
     assert report.max_relative_error == pytest.approx(0.5, abs=1e-4)
-    assert report.worst_parameter.startswith("w[")
+    assert report.worst_parameter.startswith("embedding[")
 
 
 def test_gradcheck_step_bounds():
-    params = {"w": np.array([1.0])}
+    params = params_of([1.0])
     for bad in (1e-7, 1e-2, 0.0):
         with pytest.raises(ValueError):
             finite_difference_check(quadratic_loss, quadratic_grad, params, step=bad)
@@ -94,26 +103,26 @@ def test_gradcheck_step_bounds():
 
 
 def test_gradcheck_shape_mismatch():
-    params = {"w": np.array([1.0, 2.0])}
+    params = params_of([1.0, 2.0])
     with pytest.raises(DimensionError):
-        finite_difference_check(quadratic_loss, lambda p: {"w": np.zeros(3)}, params)
+        finite_difference_check(quadratic_loss, lambda p: np.zeros(p.flat.size + 1), params)
 
 
 def test_gradcheck_nonfinite_loss_names_parameter():
-    params = {"w": np.array([1.0])}
+    params = params_of([1.0])
 
     def exploding(p):
-        return float("nan") if p["w"][0] != 1.0 else 0.0
+        return float("nan") if p.embedding[0, 0] != 1.0 else 0.0
 
-    with pytest.raises(NumericalError, match="w"):
-        finite_difference_check(exploding, lambda p: {"w": np.zeros(1)}, params)
+    with pytest.raises(NumericalError, match=r"embedding\[0\]"):
+        finite_difference_check(exploding, lambda p: np.zeros(p.flat.size), params)
 
 
 def test_gradcheck_does_not_mutate_params():
-    params = {"w": np.array([1.0, -1.0])}
-    before = params["w"].copy()
+    params = params_of([1.0, -1.0])
+    before = params.flat.copy()
     finite_difference_check(quadratic_loss, quadratic_grad, params)
-    np.testing.assert_array_equal(params["w"], before)
+    np.testing.assert_array_equal(params.flat, before)
 
 
 @settings(max_examples=25)
@@ -127,5 +136,5 @@ def test_gradcheck_does_not_mutate_params():
     )
 )
 def test_gradcheck_quadratic_family(ws):
-    params = {"w": np.array(ws)}
+    params = params_of(ws)
     assert finite_difference_check(quadratic_loss, quadratic_grad, params).passed

@@ -17,6 +17,7 @@ import pytest
 
 from deci import model
 from deci.corpus import (
+    CELL_IDS,
     RESERVED_TOKENS,
     Document,
     LabelSpace,
@@ -37,15 +38,15 @@ from deci.training import (
     CHECKPOINT_MAGIC,
     TrainConfig,
     adam_step,
+    batch_loss,
     clip_gradients,
     load_checkpoint,
-    loss_and_grads,
     save_checkpoint,
     selected_epoch,
-    total_loss,
     train,
 )
 from gradcheck import finite_difference_check
+from param_arrays import named_arrays, with_arrays
 
 LN2 = 0.69314718055994530942  # mpmath: ln 2
 THREE_LN2 = 2.0794415416798359283  # mpmath: 3 * ln 2
@@ -59,6 +60,11 @@ def tiny_world():
     vocab = Vocabulary.from_documents(train_docs)
     labels = synthetic_label_space(cfg)
     return train_docs, dev_docs, vocab, labels
+
+
+def total_loss(docs, params, cfg, vocab, labels, **kw):
+    """The objective's total, from batch_loss without gradients."""
+    return batch_loss(docs, params, cfg, vocab, labels, want_grads=False, **kw)[0]
 
 
 def tiny_params(vocab, labels, seed=0, **kw):
@@ -98,7 +104,7 @@ def test_bce_gradient_survives_confidently_wrong_cells():
 def test_loss_at_zero_params_is_three_ln2(tiny_world):
     docs, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels)
-    zeroed = params.with_arrays({k: np.zeros_like(v) for k, v in params.named_arrays().items()})
+    zeroed = with_arrays(params, {k: np.zeros_like(v) for k, v in named_arrays(params).items()})
     cfg = TrainConfig(alpha=1.0, beta=1.0)
     got = total_loss(docs[:4], zeroed, cfg, vocab, labels, max_len=8)
     assert got == pytest.approx(THREE_LN2, abs=1e-12)
@@ -129,20 +135,15 @@ def assert_gradients_match_finite_differences(batch, vocab, labels, cfg):
     base = tiny_params(vocab, labels, seed=7)
     # jitter the zero-initialized arrays so no gradient path is trivially zero
     rng = np.random.default_rng(11)
-    base = base.with_arrays(
-        {k: v + rng.normal(0, 0.2, v.shape) for k, v in base.named_arrays().items()}
-    )
+    base = with_arrays(base, {k: v + rng.normal(0, 0.2, v.shape) for k, v in named_arrays(base).items()})
 
-    def loss_fn(arrays):
-        p = base.with_arrays({k: np.asarray(v) for k, v in arrays.items()})
+    def loss_fn(p):
         return total_loss(batch, p, cfg, vocab, labels, max_len=8)
 
-    def grad_fn(arrays):
-        p = base.with_arrays({k: np.asarray(v) for k, v in arrays.items()})
-        _, grads = loss_and_grads(batch, p, cfg, vocab, labels, max_len=8)
-        return grads
+    def grad_fn(p):
+        return batch_loss(batch, p, cfg, vocab, labels, max_len=8)[2].flat
 
-    report = finite_difference_check(loss_fn, grad_fn, base.named_arrays(), step=1e-5, tol=1e-3)
+    report = finite_difference_check(loss_fn, grad_fn, base, step=1e-5, tol=1e-3)
     assert report.passed, (report.worst_parameter, report.max_relative_error)
 
 
@@ -159,8 +160,8 @@ def test_gradients_match_finite_differences_with_a_shared_cell_and_a_repeated_wo
     word = docs[0].text.split()[0]
     batch = [replace(docs[0], text=f"{word} {docs[0].text}"),
              replace(docs[1], age=docs[0].age, gender=docs[0].gender), docs[2]]
-    full_ids, demo_ids = batch_inputs(batch, vocab, 8)
-    np.testing.assert_array_equal(demo_ids[0], demo_ids[1])
+    full_ids, cells = batch_inputs(batch, vocab, 8)
+    assert cells[0] == cells[1]
     assert np.unique(full_ids[0]).size < full_ids.shape[1]
     assert_gradients_match_finite_differences(batch, vocab, labels, TrainConfig(alpha=0.5, beta=0.5))
 
@@ -182,23 +183,19 @@ def test_batch_loss_runs_the_demographic_branch_once_per_cell(tiny_world, monkey
 
     monkeypatch.setattr(model, "forward_batch", forward_spy)
     monkeypatch.setattr(model, "backward_batch", backward_spy)
-    loss_and_grads(batch, tiny_params(vocab, labels), TrainConfig(), vocab, labels, max_len=8)
-    cells = {tuple(row) for row in batch_inputs(batch, vocab, 8)[1]}
-    assert len(cells) < len(batch)  # some notes share a cell
+    batch_loss(batch, tiny_params(vocab, labels), TrainConfig(), vocab, labels, max_len=8)
     assert len(forwarded) == len(backpropagated) == 1
-    assert sorted(map(tuple, forwarded[0])) == sorted(cells)  # each cell exactly once
-    np.testing.assert_array_equal(backpropagated[0], forwarded[0])
+    np.testing.assert_array_equal(forwarded[0], CELL_IDS)  # each of the eight cells exactly once
+    np.testing.assert_array_equal(backpropagated[0], CELL_IDS)
 
 
 def test_alpha_gates_the_demographic_gradient(tiny_world):
     docs, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=12)
     batch = docs[:5]
-    _, with_demo = loss_and_grads(batch, params, TrainConfig(alpha=0.5, beta=0.0),
-                                  vocab, labels, max_len=8)
-    _, without = loss_and_grads(batch, params, TrainConfig(alpha=0.0, beta=0.0),
-                                vocab, labels, max_len=8)
-    assert any((with_demo[k] != without[k]).any() for k in with_demo)
+    with_demo = batch_loss(batch, params, TrainConfig(alpha=0.5, beta=0.0), vocab, labels, max_len=8)[2]
+    without = batch_loss(batch, params, TrainConfig(alpha=0.0, beta=0.0), vocab, labels, max_len=8)[2]
+    assert (with_demo.flat != without.flat).any()
 
 
 def one_entry_grads(*values):
@@ -230,12 +227,12 @@ def test_clip_gradients_scales_every_view_by_one_factor(tiny_world):
     docs, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=3)
     rng = np.random.default_rng(4)
-    grads = params.with_arrays({k: rng.normal(size=v.shape) for k, v in params.named_arrays().items()})
-    before = {k: v.copy() for k, v in grads.named_arrays().items()}
+    grads = with_arrays(params, {k: rng.normal(size=v.shape) for k, v in named_arrays(params).items()})
+    before = {k: v.copy() for k, v in named_arrays(grads).items()}
     norm = clip_gradients(grads, 0.5)
     assert norm == pytest.approx(np.sqrt(sum((v * v).sum() for v in before.values())))
     assert len(before) == 8
-    for name, arr in grads.named_arrays().items():
+    for name, arr in named_arrays(grads).items():
         np.testing.assert_array_equal(arr, before[name] * (0.5 / norm), err_msg=name)
     assert np.sqrt((grads.flat * grads.flat).sum()) == pytest.approx(0.5)
 
@@ -252,11 +249,10 @@ def test_max_len_defaults_to_the_model_config_window(tiny_world):
         total_loss(long_docs, params, cfg, vocab, labels, max_len=window)
     assert total_loss(long_docs, params, cfg, vocab, labels) != \
         total_loss(long_docs, params, cfg, vocab, labels, max_len=32)
-    loss, grads = loss_and_grads(long_docs, params, cfg, vocab, labels)
-    want_loss, want_grads = loss_and_grads(long_docs, params, cfg, vocab, labels, max_len=window)
-    assert loss == want_loss
-    for name, arr in grads.items():
-        np.testing.assert_array_equal(arr, want_grads[name], err_msg=name)
+    loss, parts, grads = batch_loss(long_docs, params, cfg, vocab, labels)
+    want_loss, want_parts, want_grads = batch_loss(long_docs, params, cfg, vocab, labels, max_len=window)
+    assert (loss, parts) == (want_loss, want_parts)
+    np.testing.assert_array_equal(grads.flat, want_grads.flat)
     best, log = train(long_docs, dev[:4], params, vocab, labels, cfg)
     want_best, want_log = train(long_docs, dev[:4], params, vocab, labels, cfg, max_len=window)
     np.testing.assert_array_equal(best.flat, want_best.flat)
@@ -267,13 +263,13 @@ def test_adam_first_step_is_signed_lr(tiny_world):
     # at t=1 the bias-corrected update is lr * g / (|g| + eps) ~ lr * sign(g)
     _, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=1)
-    grads = params.with_arrays({k: np.ones_like(v) for k, v in params.named_arrays().items()})
-    before = {k: v.copy() for k, v in params.named_arrays().items()}
+    grads = with_arrays(params, {k: np.ones_like(v) for k, v in named_arrays(params).items()})
+    before = {k: v.copy() for k, v in named_arrays(params).items()}
     cfg = TrainConfig(learning_rate=1e-3)
     state = AdamState.for_params(params)
     adam_step(params, grads, state, cfg)
     assert state.t == 1
-    for k, arr in params.named_arrays().items():
+    for k, arr in named_arrays(params).items():
         np.testing.assert_allclose(before[k] - arr, 1e-3, rtol=1e-6)
 
 
@@ -284,7 +280,7 @@ def reference_adam_step(params, grads: dict, state, cfg) -> None:
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
-    for name, arr in params.named_arrays().items():
+    for name, arr in named_arrays(params).items():
         g = grads[name]
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
@@ -302,8 +298,8 @@ def test_flat_adam_matches_the_per_array_reference_bitwise(tiny_world, lr, beta1
     state = AdamState.for_params(params)
     ref_state = SimpleNamespace(
         t=0,
-        m={k: np.zeros_like(a) for k, a in ref.named_arrays().items()},
-        v={k: np.zeros_like(a) for k, a in ref.named_arrays().items()},
+        m={k: np.zeros_like(a) for k, a in named_arrays(ref).items()},
+        v={k: np.zeros_like(a) for k, a in named_arrays(ref).items()},
     )
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -312,7 +308,7 @@ def test_flat_adam_matches_the_per_array_reference_bitwise(tiny_world, lr, beta1
         g[rng.random(g.size) < 0.3] = 0.0
         grads = ModelParams(params.dims, g)
         adam_step(params, grads, state, cfg)
-        reference_adam_step(ref, {k: a.copy() for k, a in grads.named_arrays().items()}, ref_state, cfg)
+        reference_adam_step(ref, {k: a.copy() for k, a in named_arrays(grads).items()}, ref_state, cfg)
         assert params.flat.tobytes() == ref.flat.tobytes()
         for flat, per_array in ((state.m, ref_state.m), (state.v, ref_state.v)):
             assert flat.tobytes() == np.concatenate([a.ravel() for a in per_array.values()]).tobytes()
@@ -323,7 +319,7 @@ def test_params_are_views_of_one_flat_vector(tiny_world, tmp_path):
     _, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=5)
     shapes = param_shapes(*params.dims)
-    arrays = params.named_arrays()
+    arrays = named_arrays(params)
     assert list(arrays) == list(shapes)
     start = 0
     for name, shape in shapes.items():
@@ -343,15 +339,10 @@ def test_params_are_views_of_one_flat_vector(tiny_world, tmp_path):
     want = params.flat.astype("<f4").tobytes()
     assert metadata_offset(blob) == 28 + len(want)
     assert blob[28: 28 + len(want)] == want
-    # with_arrays takes exactly one array of the right shape per name
-    for bad in (
-        {k: a for k, a in arrays.items() if k != "gate_bias"},
-        {**arrays, "extra": np.zeros(1)},
-        {**arrays, "enc_bias": np.zeros(params.hidden_dim + 1)},
-        {**arrays, "expert_w": arrays["expert_w"].transpose(0, 2, 1)},
-    ):
+    # ModelParams takes exactly the one flat vector its dims lay out
+    for bad in (params.flat[:-1], np.zeros(params.flat.size + 1), params.flat.reshape(1, -1)):
         with pytest.raises(DimensionError):
-            params.with_arrays(bad)
+            ModelParams(params.dims, bad)
 
 
 def test_train_zero_lr_is_a_no_op(tiny_world):
@@ -359,8 +350,8 @@ def test_train_zero_lr_is_a_no_op(tiny_world):
     params = tiny_params(vocab, labels, seed=3)
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=0)
     out, log = train(docs, dev, params, vocab, labels, cfg, max_len=8)
-    for k, arr in out.named_arrays().items():
-        np.testing.assert_array_equal(arr, params.named_arrays()[k])
+    for k, arr in named_arrays(out).items():
+        np.testing.assert_array_equal(arr, named_arrays(params)[k])
     losses = [rec["train_loss"] for rec in log]
     assert losses[0] == pytest.approx(losses[-1], abs=1e-12)
 
@@ -371,8 +362,8 @@ def test_train_deterministic(tiny_world):
     cfg = TrainConfig(epochs=2, seed=5, batch_size=8)
     a, log_a = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     b, log_b = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
-    for k, arr in a.named_arrays().items():
-        np.testing.assert_array_equal(arr, b.named_arrays()[k])
+    for k, arr in named_arrays(a).items():
+        np.testing.assert_array_equal(arr, named_arrays(b)[k])
     assert log_a == log_b
     c, _ = train(docs, dev, tiny_params(vocab, labels), vocab, labels,
                  TrainConfig(epochs=2, seed=6, batch_size=8), max_len=8)
@@ -429,9 +420,7 @@ def test_train_rejects_empty_and_aborts_on_nan(tiny_world):
 
 
 def single_precision(params):
-    return params.with_arrays(
-        {k: v.astype("<f4").astype(np.float64) for k, v in params.named_arrays().items()}
-    )
+    return with_arrays(params, {k: v.astype("<f4").astype(np.float64) for k, v in named_arrays(params).items()})
 
 
 def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
@@ -441,8 +430,8 @@ def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
     save_checkpoint(path, params, vocab, labels, max_len=8, config={"alpha": 0.5})
     ckpt = load_checkpoint(path)
     cast = single_precision(params)
-    for k, arr in ckpt.params.named_arrays().items():
-        np.testing.assert_array_equal(arr, cast.named_arrays()[k])
+    for k, arr in named_arrays(ckpt.params).items():
+        np.testing.assert_array_equal(arr, named_arrays(cast)[k])
     assert ckpt.vocab == vocab
     assert ckpt.label_space == labels
     assert ckpt.max_len == 8
