@@ -30,7 +30,7 @@ from .errors import (
     ParseError, ValidationError,
 )
 from .evaluation import InferenceMode, final_scores_from_z, run_ablation
-from .model import ModelConfig, init_params, pathway_scores_batch
+from .model import ModelConfig, batch_inputs, init_params, pathway_scores_batch
 from .training import (
     TrainConfig, dev_metrics, load_checkpoint, save_checkpoint, selected_epoch, train,
 )
@@ -244,7 +244,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
                     max_len=mcfg.max_len, config=cfg.echo())
     # report the model the checkpoint holds: the selected epoch, as read back
     saved = load_checkpoint(out_dir / "checkpoint.deci").params
-    final_dev = dev_metrics(dev_docs, saved, vocab, label_space, mcfg.max_len) if dev_docs else None
+    final_dev = None
+    if dev_docs:
+        final_dev = dev_metrics(saved, *batch_inputs(dev_docs, vocab, mcfg.max_len),
+                                label_space.multi_hot_rows(dev_docs))
     summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
     _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo(), **summary})
     print(json.dumps({**summary, "epochs": len(log)}))
@@ -313,7 +316,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     docs = load_jsonl(args.input)
     lines = []
     if docs:
-        z_k, z_d, z_e = pathway_scores_batch(ckpt.params, docs, ckpt.vocab, ckpt.max_len)
+        z_k, z_d, z_e = pathway_scores_batch(ckpt.params, *batch_inputs(docs, ckpt.vocab, ckpt.max_len))
         scores = final_scores_from_z(z_k, z_d, z_e, InferenceMode.DECI)
         for doc, row, hits in zip(docs, scores.tolist(), (scores >= 0.5).tolist()):
             predicted = [label for label, hit in zip(ckpt.label_space.labels, hits) if hit]

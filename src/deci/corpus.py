@@ -10,7 +10,7 @@ import json
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -96,16 +96,12 @@ class LabelSpace:
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelSpace) and other._labels == self._labels
 
-    def multi_hot(self, codes: Iterable[str]) -> np.ndarray:
-        """Codes -> float64 indicator vector of length len(self)."""
-        y = np.zeros(len(self._labels), dtype=np.float64)
-        for c in codes:
-            y[self.index(c)] = 1.0
-        return y
-
     def multi_hot_rows(self, docs) -> np.ndarray:
-        """(n_docs, n_labels) gold matrix whose rows are multi_hot(doc.codes)."""
-        return np.stack([self.multi_hot(d.codes) for d in docs])
+        """(n_docs, n_labels) float64 gold matrix, 1.0 at each document's codes."""
+        y = np.zeros((len(docs), len(self._labels)))
+        for row, doc in zip(y, docs):
+            row[[self.index(c) for c in doc.codes]] = 1.0
+        return y
 
     @classmethod
     def from_file(cls, path) -> "LabelSpace":
@@ -144,9 +140,6 @@ class Vocabulary:
         """Id of token, or UNK's id when the token is unknown."""
         return self._token_to_id.get(token, UNK_ID)
 
-    def token(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and other._id_to_token == self._id_to_token
 
@@ -163,23 +156,6 @@ class Vocabulary:
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary."""
     return list(map(vocab._token_to_id.get, words(text), repeat(UNK_ID)))
-
-
-def input_matrix(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cells): (n_docs, max_len) int64 token-id rows, each document's two
-    demographic tokens then its note tokens, truncated or PAD-extended to the
-    window; and each document's CELL_IDS row, bucket * 2 + gender."""
-    if max_len < 2:
-        raise ConfigError(f"max_len must be at least 2, got {max_len}")
-    notes = [tokenize(d.text, vocab)[: max_len - 2] for d in docs]
-    lengths = np.fromiter(map(len, notes), np.int64, len(notes))
-    rows = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
-    cells = 2 * np.searchsorted(AGE_BOUNDS, np.array([d.age for d in docs], np.int64), "right")
-    cells += np.array([GENDERS.index(d.gender) for d in docs], np.int64)
-    rows[:, :2] = CELL_IDS[cells]
-    rows[:, 2:][np.arange(max_len - 2) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(notes), np.int64, int(lengths.sum()))
-    return rows, cells
 
 
 @dataclass

@@ -226,7 +226,7 @@ def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: La
             raise ConfigError(f"k must be in [1, {len(label_space)}], got {k}")
     if confounded_label is not None:
         label_space.index(confounded_label)
-    z_k, z_d, z_e = M.pathway_scores_batch(params, docs, vocab, max_len)
+    z_k, z_d, z_e = M.pathway_scores_batch(params, *M.batch_inputs(docs, vocab, max_len))
     gold = label_space.multi_hot_rows(docs)
     in_group_a = None
     if confounded_label is not None:

@@ -20,10 +20,11 @@ implementation: training, evaluation and prediction all run through them.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .corpus import CELL_IDS, PAD_ID, Vocabulary, input_matrix
+from .corpus import AGE_BOUNDS, CELL_IDS, GENDERS, PAD_ID, Vocabulary, tokenize
 from .errors import ConfigError, DimensionError
 
 _GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
@@ -250,15 +251,26 @@ def backward_batch(
 
 
 def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(full id rows with trailing all-PAD columns dropped, cells): each
-    document's demographic-only view is its row of CELL_IDS, CELL_IDS[cells]."""
-    full, cells = input_matrix(docs, vocab, max_len)
-    keep = int((full != PAD_ID).sum(axis=1).max())
-    return full[:, :keep], cells
+    """(ids, cells), each split's one tokenization: (n_docs, max_len) int64 id
+    rows, each document's two demographic ids then its note's ids, truncated
+    or PAD-extended to the window; and each document's CELL_IDS row, bucket *
+    2 + gender, so that its demographic-only view is CELL_IDS[cells]."""
+    if max_len < 2:
+        raise ConfigError(f"max_len must be at least 2, got {max_len}")
+    notes = [tokenize(d.text, vocab)[: max_len - 2] for d in docs]
+    lengths = np.fromiter(map(len, notes), np.int64, len(notes))
+    ids = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
+    cells = 2 * np.searchsorted(AGE_BOUNDS, np.array([d.age for d in docs], np.int64), "right")
+    cells += np.array([GENDERS.index(d.gender) for d in docs], np.int64)
+    ids[:, :2] = CELL_IDS[cells]
+    ids[:, 2:][np.arange(max_len - 2) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(notes), np.int64, int(lengths.sum()))
+    return ids, cells
 
 
-def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_size: int = 256):
-    """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for a document list.
+def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
+    """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for the (ids, cells)
+    of batch_inputs.
 
     Full rows are forwarded longest first, batch_size at a time, so each
     chunk's full view is only as wide as its first row. The stable order keeps
@@ -268,16 +280,12 @@ def pathway_scores_batch(params, docs, vocab: Vocabulary, max_len: int, batch_si
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
-    zk, zd, ze = (np.empty((len(docs), params.n_labels)) for _ in range(3))
-    if not docs:
-        return zk, zd, ze
-    full_ids, cells = batch_inputs(docs, vocab, max_len)
+    zk, ze = np.empty((2, len(ids), params.n_labels))
     # PAD only trails a row, so its non-PAD count is its width
-    lengths = (full_ids != PAD_ID).sum(axis=1)
+    lengths = (ids != PAD_ID).sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
-    for lo in range(0, len(docs), batch_size):
+    for lo in range(0, len(ids), batch_size):
         rows = order[lo: lo + batch_size]
-        full = forward_batch(params, full_ids[rows, :lengths[rows[0]]])
+        full = forward_batch(params, ids[rows, :lengths[rows[0]]])
         zk[rows], ze[rows] = full.gated, full.uniform
-    zd[:] = forward_batch(params, CELL_IDS).gated[cells]
-    return zk, zd, ze
+    return zk, forward_batch(params, CELL_IDS).gated[cells], ze

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .corpus import CELL_IDS, LabelSpace, Vocabulary
+from .corpus import CELL_IDS, PAD_ID, LabelSpace, Vocabulary
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .evaluation import InferenceMode, f1_scores, final_scores_from_z, roc_auc
 from .numerics import sigmoid
@@ -72,19 +72,17 @@ def _bce_and_grad(z: np.ndarray, y: np.ndarray):
     return loss, (sigmoid(z) - y) / z.size
 
 
-def batch_loss(docs, params: M.ModelParams, cfg: TrainConfig, vocab: Vocabulary,
-               label_space: LabelSpace, max_len: int = M.ModelConfig.max_len, want_grads: bool = True):
+def batch_loss(params: M.ModelParams, cfg: TrainConfig, ids, cells, gold, want_grads: bool = True):
     """(total, {"loss_k", "loss_d", "loss_e"}, gradient) of the three-term objective, averaged
-    over the batch. The gradient is a ModelParams, or None without want_grads."""
-    if not docs:
+    over a batch: the (ids, cells) of model.batch_inputs and the (n, n_labels) gold matrix.
+    The gradient is a ModelParams, or None without want_grads."""
+    if not len(ids):
         raise ValueError("empty document batch")
-    full_ids, cells = M.batch_inputs(docs, vocab, max_len)
-    full = M.forward_batch(params, full_ids)
+    full = M.forward_batch(params, ids)
     demo = M.forward_batch(params, CELL_IDS)
-    y = label_space.multi_hot_rows(docs)
-    loss_k, gk = _bce_and_grad(full.gated, y)
-    loss_d, gd = _bce_and_grad(demo.gated[cells], y)
-    loss_e, ge = _bce_and_grad(full.uniform, y)
+    loss_k, gk = _bce_and_grad(full.gated, gold)
+    loss_d, gd = _bce_and_grad(demo.gated[cells], gold)
+    loss_e, ge = _bce_and_grad(full.uniform, gold)
     total = loss_k + cfg.alpha * loss_d + cfg.beta * loss_e
     parts = {"loss_k": loss_k, "loss_d": loss_d, "loss_e": loss_e}
     if not want_grads:
@@ -145,11 +143,10 @@ def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState, cfg
     params.flat -= step
 
 
-def dev_metrics(dev_docs, params, vocab, label_space, max_len) -> dict:
-    """Micro/macro F1 and micro AUC of the debiased scores on a labeled split."""
-    zk, zd, ze = M.pathway_scores_batch(params, dev_docs, vocab, max_len)
-    scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
-    gold = label_space.multi_hot_rows(dev_docs)
+def dev_metrics(params, ids, cells, gold) -> dict:
+    """Micro/macro F1 and micro AUC of the debiased scores on a labeled split,
+    given as the (ids, cells) of model.batch_inputs and its gold matrix."""
+    scores = final_scores_from_z(*M.pathway_scores_batch(params, ids, cells), InferenceMode.DECI)
     macro_f1, micro_f1, _ = f1_scores(scores >= 0.5, gold)
     micro_auc = roc_auc(scores.ravel(), gold.ravel())
     return {"micro_f1": micro_f1, "macro_f1": macro_f1, "micro_auc": micro_auc}
@@ -169,6 +166,12 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
     cfg.validate()
     if not train_docs:
         raise ValidationError("empty training set")
+    # each split is tokenized once; a batch is cut to its widest note, as PAD only trails
+    ids, cells = M.batch_inputs(train_docs, vocab, max_len)
+    gold = label_space.multi_hot_rows(train_docs)
+    lengths = (ids != PAD_ID).sum(axis=1)
+    if dev_docs:
+        dev = (*M.batch_inputs(dev_docs, vocab, max_len), label_space.multi_hot_rows(dev_docs))
     params = params.copy()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
@@ -179,15 +182,14 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
         sums = {"loss": 0.0, "loss_k": 0.0, "loss_d": 0.0, "loss_e": 0.0}
         for start in range(0, n, cfg.batch_size):
             idx = order[start: start + cfg.batch_size]
-            batch = [train_docs[i] for i in idx]
-            loss, parts, grads = batch_loss(batch, params, cfg, vocab, label_space, max_len)
+            loss, parts, grads = batch_loss(params, cfg, ids[idx, :lengths[idx].max()], cells[idx], gold[idx])
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size}")
             clip_gradients(grads, cfg.grad_clip_norm)
             adam_step(params, grads, state, cfg)
-            sums["loss"] += loss * len(batch)
+            sums["loss"] += loss * len(idx)
             for k in parts:
-                sums[k] += parts[k] * len(batch)
+                sums[k] += parts[k] * len(idx)
         record = {
             "epoch": epoch,
             "train_loss": sums["loss"] / n,
@@ -197,7 +199,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
             "dev_metrics": None,
         }
         if dev_docs:
-            record["dev_metrics"] = dev_metrics(dev_docs, params, vocab, label_space, max_len)
+            record["dev_metrics"] = dev_metrics(params, *dev)
         log.append(record)
         if selected_epoch(log) == epoch:
             best_params = params.copy()

@@ -20,7 +20,7 @@ import pytest
 from deci.cli import RunConfig, main
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
-from deci.model import forward_batch, init_params, pathway_scores_batch
+from deci.model import batch_inputs, forward_batch, init_params, pathway_scores_batch
 from deci.numerics import sigmoid
 from deci.training import TrainConfig, batch_loss, load_checkpoint, save_checkpoint, train
 from gradcheck import finite_difference_check
@@ -55,12 +55,13 @@ def test_criterion_1_gradient_suite():
         Document(id="c", text="w6 w7 w8 w9 w10 w11", age=50, gender="F", codes=("C002", "C004")),
     ]
     cfg = TrainConfig(alpha=0.5, beta=0.5)
+    inputs = (*batch_inputs(batch, vocab, 8), labels.multi_hot_rows(batch))
 
     def loss_fn(p):
-        return batch_loss(batch, p, cfg, vocab, labels, max_len=8, want_grads=False)[0]
+        return batch_loss(p, cfg, *inputs, want_grads=False)[0]
 
     def grad_fn(p):
-        return batch_loss(batch, p, cfg, vocab, labels, max_len=8)[2].flat
+        return batch_loss(p, cfg, *inputs)[2].flat
 
     report = finite_difference_check(loss_fn, grad_fn, base, step=1e-5, tol=1e-3)
     elapsed = time.time() - t0
@@ -204,9 +205,9 @@ def test_criterion_4_overfit_check():
                          n_experts=cfg["model.n_experts"], seed=cfg["seed"])
     tcfg = cfg.train_config()
     best, log = train(docs, [], params, vocab, labels, tcfg, max_len=cfg["model.max_len"])
-    zk, zd, ze = pathway_scores_batch(best, docs, vocab, cfg["model.max_len"])
+    zk, zd, ze = pathway_scores_batch(best, *batch_inputs(docs, vocab, cfg["model.max_len"]))
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
-    gold = np.stack([labels.multi_hot(d.codes) for d in docs])
+    gold = labels.multi_hot_rows(docs)
     _, micro, _ = f1_scores(scores >= 0.5, gold)
     last = log[-1]
     # The knowledge head memorizes the batch; the demographic head cannot:
@@ -296,10 +297,11 @@ def test_criterion_6_persistence(tmp_path):
     save_checkpoint(path, best, vocab, labels, max_len=10)
     ckpt = load_checkpoint(path)
     cast = with_arrays(best, {k: v.astype("<f4").astype(np.float64) for k, v in named_arrays(best).items()})
-    want = final_scores_from_z(*pathway_scores_batch(cast, test_docs, vocab, 10),
+    want = final_scores_from_z(*pathway_scores_batch(cast, *batch_inputs(test_docs, vocab, 10)),
                                InferenceMode.DECI)
-    got = final_scores_from_z(*pathway_scores_batch(ckpt.params, test_docs, ckpt.vocab, ckpt.max_len),
-                              InferenceMode.DECI)
+    got = final_scores_from_z(
+        *pathway_scores_batch(ckpt.params, *batch_inputs(test_docs, ckpt.vocab, ckpt.max_len)),
+        InferenceMode.DECI)
     bit_exact = np.array_equal(want, got)
 
     # corrupt checkpoints are rejected at the CLI boundary with exit code 2

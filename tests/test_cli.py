@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import deci
-from deci import cli, model, training
+from deci import cli, training
 from deci.cli import DEFAULTS, main
-from deci.corpus import load_jsonl
+from deci.corpus import PAD_ID, load_jsonl
 from deci.errors import ParseError
+from deci.model import batch_inputs
 from deci.training import load_checkpoint
 
 SRC_DIR = str(Path(deci.__file__).resolve().parent.parent)
@@ -131,7 +132,8 @@ def test_train_reports_the_saved_epoch(pipeline, tmp_path, monkeypatch, capsys):
     summary = json.loads(capsys.readouterr().out)
     ckpt = load_checkpoint(run / "checkpoint.deci")
     dev = load_jsonl(data / "dev.jsonl", ckpt.label_space)
-    expected = real(dev, ckpt.params, ckpt.vocab, ckpt.label_space, ckpt.max_len)
+    expected = real(ckpt.params, *batch_inputs(dev, ckpt.vocab, ckpt.max_len),
+                    ckpt.label_space.multi_hot_rows(dev))
     assert summary == {"final_dev_metrics": expected, "selected_epoch": 1, "epochs": 3}
     manifest = json.loads((run / "train_manifest.json").read_text())
     assert manifest["selected_epoch"] == 1
@@ -285,20 +287,22 @@ def test_predict_tokenizes_a_lone_surrogate_as_the_regex_does(pipeline, tmp_path
     path = tmp_path / "surrogate.jsonl"
     # the JSON escape decodes to a lone surrogate, which UTF-8 cannot encode
     path.write_text('{"id": "s", "text": "K000W0\\ud800k001w0 x\\udfff", "age": 30, "gender": "M"}\n')
-    seen, batch_inputs = [], model.batch_inputs
+    seen = []
 
     def spy(*args):
         seen.append(batch_inputs(*args))
         return seen[-1]
 
-    monkeypatch.setattr(model, "batch_inputs", spy)
+    monkeypatch.setattr(cli, "batch_inputs", spy)
     assert main(["predict", "--run.dir", str(run), str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["doc_id"] == "s"
-    vocab = load_checkpoint(run / "checkpoint.deci").vocab
+    ckpt = load_checkpoint(run / "checkpoint.deci")
+    vocab = ckpt.vocab
     text = load_jsonl(path)[0].text
     assert "\ud800" in text
     want = [vocab.id("[AGE_18_44]"), vocab.id("[GENDER_M]")]
     want += [vocab.id(w) for w in re.findall(r"[a-z0-9]+", text.lower())]
+    want += [PAD_ID] * (ckpt.max_len - len(want))  # the row fills the window
     assert seen[0][0].tolist() == [want]
 
 

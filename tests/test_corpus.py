@@ -29,7 +29,6 @@ from deci.corpus import (
     Vocabulary,
     confound_predicate,
     generate_synthetic,
-    input_matrix,
     load_jsonl,
     save_jsonl,
     synthetic_label_space,
@@ -37,6 +36,7 @@ from deci.corpus import (
     words,
 )
 from deci.errors import ConfigError, ParseError, ValidationError
+from deci.model import batch_inputs
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def test_tokenize_unknown_maps_to_unk(small_vocab):
 
 
 def test_tokenize_empty_and_padding(small_vocab):
-    # tokenize neither pads nor truncates; input_matrix fits the window
+    # tokenize neither pads nor truncates; batch_inputs fits the window
     assert tokenize("", small_vocab) == []
     assert tokenize("aspirin", small_vocab) == [small_vocab.id("aspirin")]
     assert len(tokenize("aspirin " * 300, small_vocab)) == 300
@@ -104,8 +104,8 @@ def test_words_match_the_regex_on_any_text(text):
 
 
 def model_input(doc, vocab, max_len):
-    """The input_matrix row of one document."""
-    return input_matrix([doc], vocab, max_len)[0][0]
+    """The batch_inputs row of one document."""
+    return batch_inputs([doc], vocab, max_len)[0][0]
 
 
 def test_age_bucket_boundaries(small_vocab):
@@ -113,7 +113,7 @@ def test_age_bucket_boundaries(small_vocab):
     buckets = [(0, 0), (17, 0), (18, 1), (44, 1), (45, 2), (64, 2), (65, 3), (129, 3)]
     docs = [Document(id="d", text="atrial", age=age, gender=gender)
             for age, _ in buckets for gender in ("M", "F")]
-    rows, cells = input_matrix(docs, small_vocab, max_len=4)
+    rows, cells = batch_inputs(docs, small_vocab, max_len=4)
     np.testing.assert_array_equal(cells, [bucket * 2 + gender for _, bucket in buckets for gender in (0, 1)])
     np.testing.assert_array_equal(rows[:, :2], CELL_IDS[cells])
     assert rows[0, :2].tolist() == [small_vocab.id("[AGE_0_17]"), small_vocab.id("[GENDER_M]")]
@@ -138,7 +138,7 @@ def test_demographic_tokens_pairs(small_vocab):
 
 
 def test_demographic_tokens_rejects_bad_gender():
-    # a gender without a token never reaches input_matrix: the document is refused
+    # a gender without a token never reaches batch_inputs: the document is refused
     with pytest.raises(ValidationError):
         Document(id="d", text="", age=30, gender="X")
 
@@ -201,16 +201,24 @@ def test_label_space_basics():
     assert len(space) == 3
     assert space.index("C001") == 1
     assert "C002" in space and "C999" not in space
-    np.testing.assert_array_equal(space.multi_hot(["C000", "C002"]), [1.0, 0.0, 1.0])
     docs = [Document(id=i, text="", age=30, gender="M", codes=c)
             for i, c in (("a", ("C002", "C000")), ("b", ()), ("c", ("C001",)))]
     gold = space.multi_hot_rows(docs)
     assert gold.dtype == np.float64
-    np.testing.assert_array_equal(gold, np.stack([space.multi_hot(d.codes) for d in docs]))
+    np.testing.assert_array_equal(gold, [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ValidationError, match="C999"):
         space.index("C999")
     with pytest.raises(ValidationError):
         LabelSpace(["C000", "C000"])
+
+
+def test_multi_hot_rows_of_no_documents_is_an_empty_matrix():
+    space = LabelSpace(["C000", "C001", "C002"])
+    gold = space.multi_hot_rows([])
+    assert gold.shape == (0, 3) and gold.dtype == np.float64
+    unknown = Document(id="x", text="", age=30, gender="M", codes=("C001", "C999"))
+    with pytest.raises(ValidationError, match="C999"):
+        space.multi_hot_rows([unknown])
 
 
 def test_label_space_file_round_trip(tmp_path):
@@ -226,12 +234,12 @@ def test_vocabulary_reserves_prefix():
     assert v.id("[PAD]") == PAD_ID == 0
     assert v.id("[UNK]") == UNK_ID == 1
     for tok in AGE_TOKENS + GENDER_TOKENS:
-        assert v.token(v.id(tok)) == tok
+        assert v.to_list()[v.id(tok)] == tok
 
 
 def test_vocabulary_round_trip_and_duplicates():
     v = Vocabulary(["b", "a"])
-    assert v.token(v.id("a")) == "a"
+    assert v.to_list()[v.id("a")] == "a"
     assert v.id("missing") == UNK_ID
     assert Vocabulary.from_list(v.to_list()) == v
     with pytest.raises(ValidationError, match="token 'a'"):

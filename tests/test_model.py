@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from deci import model
 from deci.corpus import (
     AGE_TOKENS, CELL_IDS, GENDER_TOKENS, GENDERS, PAD_ID, RESERVED_TOKENS, Document, Vocabulary,
-    input_matrix, tokenize,
+    tokenize,
 )
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
@@ -247,7 +247,7 @@ def test_final_score_sign_and_range(zk, zd, ze):
 
 
 def zd_of(p, vocab, *docs):
-    return pathway_scores_batch(p, list(docs), vocab, max_len=8)[1]
+    return pathway_scores_batch(p, *batch_inputs(list(docs), vocab, 8))[1]
 
 
 def test_zd_depends_only_on_bucket_and_gender(params, vocab):
@@ -273,9 +273,10 @@ def test_zd_has_at_most_eight_values(params, vocab):
 def test_forward_combines_pathways(params, vocab):
     p = randomized(params, 20)
     docs = [Document(id="d", text="w1 w4 w4", age=50, gender="M")]
-    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8)
     full_ids, cells = batch_inputs(docs, vocab, 8)
-    full, demo = forward_batch(p, full_ids), forward_batch(p, CELL_IDS)
+    zk, zd, ze = pathway_scores_batch(p, full_ids, cells)
+    # cut to the note's width of 2 + 3 ids, as pathway_scores_batch cuts each chunk
+    full, demo = forward_batch(p, full_ids[:, :5]), forward_batch(p, CELL_IDS)
     np.testing.assert_array_equal(zk, full.gated)
     np.testing.assert_array_equal(zd, demo.gated[cells])
     np.testing.assert_array_equal(ze, full.uniform)
@@ -291,7 +292,7 @@ def test_forward_batch_matches_per_document(params, vocab):
         Document(id="c", text="", age=40, gender="F"),
         Document(id="d", text="w5 w5 w5", age=64, gender="M"),
     ]
-    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=6, batch_size=3)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 6), batch_size=3)
     assert zk.shape == (4, 5)
     for i, doc in enumerate(docs):
         row = parent_model_input(doc, vocab, 6)
@@ -320,7 +321,7 @@ def test_scoring_chunks_are_as_wide_as_their_longest_note(params, vocab, monkeyp
         return forward_batch(p, ids)
 
     monkeypatch.setattr(model, "forward_batch", spy)
-    pathway_scores_batch(params, docs, vocab, max_len=12, batch_size=2)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 12), batch_size=2)
     assert widths == [9, 5, 3]  # input order would forward widths [9, 9, 5]
 
 
@@ -334,7 +335,7 @@ def test_scoring_forwards_the_demographic_view_once_per_cell(params, vocab, monk
         return forward_batch(p, ids)
 
     monkeypatch.setattr(model, "forward_batch", spy)
-    pathway_scores_batch(params, docs, vocab, max_len=8, batch_size=3)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 8), batch_size=3)
     assert len(seen) == 1  # one demographic forward per call
     np.testing.assert_array_equal(seen[0], CELL_IDS)  # each of the eight cells exactly once
 
@@ -346,8 +347,8 @@ def test_zd_of_a_note_is_the_same_alone_and_among_other_cells(params, vocab):
               for age, gender in ((5, "M"), (50, "F"), (70, "M"), (30, "F"), (90, "F"), (12, "F"))]
     cells = batch_inputs([note] + others, vocab, 8)[1]
     assert cells[0] not in cells[1:]  # every batch-mate is in another cell
-    alone = pathway_scores_batch(p, [note], vocab, max_len=8)[1][0]
-    among = pathway_scores_batch(p, others[:3] + [note] + others[3:], vocab, max_len=8)[1][3]
+    alone = pathway_scores_batch(p, *batch_inputs([note], vocab, 8))[1][0]
+    among = pathway_scores_batch(p, *batch_inputs(others[:3] + [note] + others[3:], vocab, 8))[1][3]
     assert alone.tobytes() == among.tobytes()
 
 
@@ -356,7 +357,7 @@ def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
     p = randomized(params, 24)
     # ties, an empty note, and notes truncated by the window
     docs = notes_of_lengths([4, 0, 9, 4, 2, 7, 4, 12, 1, 0, 6], seed=1)
-    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=9, batch_size=batch_size)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 9), batch_size=batch_size)
     for i, doc in enumerate(docs):
         row = parent_model_input(doc, vocab, 9)
         gated, uniform = reference_pathways(p, row)
@@ -364,8 +365,8 @@ def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
         np.testing.assert_allclose(zd[i], reference_pathways(p, row[:2])[0], atol=1e-12)
         np.testing.assert_allclose(ze[i], uniform, atol=1e-12)
     perm = np.random.default_rng(2).permutation(len(docs))
-    for got, want in zip(pathway_scores_batch(p, [docs[i] for i in perm], vocab, 9, batch_size),
-                         (zk, zd, ze)):
+    shuffled = batch_inputs([docs[i] for i in perm], vocab, 9)
+    for got, want in zip(pathway_scores_batch(p, *shuffled, batch_size), (zk, zd, ze)):
         np.testing.assert_allclose(got, want[perm], rtol=0, atol=1e-12)
 
 
@@ -374,7 +375,7 @@ def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab):
     # row is bitwise what forward_batch gives on consecutive input-order chunks
     p = randomized(params, 25)
     docs = notes_of_lengths([9, 6, 14, 6, 8, 11, 7], seed=3)
-    zk, zd, ze = pathway_scores_batch(p, docs, vocab, max_len=8, batch_size=3)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 8), batch_size=3)
     for lo in range(0, len(docs), 3):
         full_ids, cells = batch_inputs(docs[lo: lo + 3], vocab, 8)
         full = forward_batch(p, full_ids)
@@ -387,7 +388,7 @@ def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab):
 def test_scoring_rejects_a_batch_size_below_one(params, vocab, batch_size):
     docs = notes_of_lengths([3] * 16)
     with pytest.raises(ConfigError, match="batch_size"):
-        pathway_scores_batch(params, docs, vocab, max_len=8, batch_size=batch_size)
+        pathway_scores_batch(params, *batch_inputs(docs, vocab, 8), batch_size=batch_size)
 
 
 def test_forward_batch_attention_rows(params, vocab):
@@ -397,7 +398,7 @@ def test_forward_batch_attention_rows(params, vocab):
         Document(id="b", text="w2", age=20, gender="M"),
     ]
     ids, _ = batch_inputs(docs, vocab, max_len=5)
-    assert ids.shape == (2, 4)  # trailing all-PAD columns are dropped
+    assert ids.shape == (2, 5)  # every row fills the window, PAD-extended
     br = forward_batch(p, ids)
     np.testing.assert_allclose(br.attention.sum(axis=2), 1.0, atol=1e-9)
     # the short document's PAD position carries no attention
@@ -466,18 +467,16 @@ def demographic_tokens(age, gender, vocab):
 
 
 def parent_model_input(doc, vocab, max_len):
-    """An input_matrix row as first written, one document at a time: the
+    """A batch_inputs row as first written, one document at a time: the
     demographic ids, then tokenize's ids, cut and PAD-extended to the window."""
     ids = (demographic_tokens(doc.age, doc.gender, vocab) + tokenize(doc.text, vocab))[:max_len]
     return np.asarray(ids + [PAD_ID] * (max_len - len(ids)), dtype=np.int64)
 
 
 def parent_batch_inputs(docs, vocab, max_len):
-    """(full rows, demographic-only rows) of a batch, the full rows' trailing
-    all-PAD columns dropped."""
+    """(full rows, demographic-only rows) of a batch."""
     full = np.stack([parent_model_input(d, vocab, max_len) for d in docs])
-    keep = int((full != PAD_ID).sum(axis=1).max())
-    return full[:, :keep], full[:, :2].copy()
+    return full, full[:, :2].copy()
 
 
 def test_batch_inputs_match_the_per_document_rows(vocab):
@@ -496,14 +495,14 @@ def test_batch_inputs_match_the_per_document_rows(vocab):
             np.testing.assert_array_equal(full, want_full)
             np.testing.assert_array_equal(CELL_IDS[cells], want_demo)
         for doc in docs:
-            row = input_matrix([doc], vocab, max_len)[0][0]
+            row = batch_inputs([doc], vocab, max_len)[0][0]
             assert row.dtype == np.int64
             np.testing.assert_array_equal(row, parent_model_input(doc, vocab, max_len))
     for max_len in (1, 0, -1):
         with pytest.raises(ConfigError):
             batch_inputs(docs, vocab, max_len)
         with pytest.raises(ConfigError):
-            input_matrix(docs[:1], vocab, max_len)
+            batch_inputs(docs[:1], vocab, max_len)
 
 
 def test_batch_inputs_layout(params, vocab):
@@ -523,7 +522,7 @@ def test_degenerate_document_all_pathways_finite(params, vocab):
     assert np.all(np.isfinite(br.gated)) and np.all(np.isfinite(br.uniform))
     # empty text: the full view still has demographics, so nothing is NaN
     doc = Document(id="d", text="", age=30, gender="M")
-    z = pathway_scores_batch(p, [doc], vocab, max_len=4)
+    z = pathway_scores_batch(p, *batch_inputs([doc], vocab, 4))
     for arr in (*z, final_scores_from_z(*z, InferenceMode.DECI)):
         assert np.all(np.isfinite(arr))
 

@@ -18,6 +18,7 @@ import pytest
 from deci import model
 from deci.corpus import (
     CELL_IDS,
+    PAD_ID,
     RESERVED_TOKENS,
     Document,
     LabelSpace,
@@ -62,9 +63,14 @@ def tiny_world():
     return train_docs, dev_docs, vocab, labels
 
 
-def total_loss(docs, params, cfg, vocab, labels, **kw):
+def loss_inputs(docs, vocab, labels, max_len=8):
+    """batch_loss's (ids, cells, gold) for a batch of documents."""
+    return (*batch_inputs(docs, vocab, max_len), labels.multi_hot_rows(docs))
+
+
+def total_loss(docs, params, cfg, vocab, labels, max_len):
     """The objective's total, from batch_loss without gradients."""
-    return batch_loss(docs, params, cfg, vocab, labels, want_grads=False, **kw)[0]
+    return batch_loss(params, cfg, *loss_inputs(docs, vocab, labels, max_len), want_grads=False)[0]
 
 
 def tiny_params(vocab, labels, seed=0, **kw):
@@ -117,8 +123,8 @@ def test_loss_alpha_beta_zero_is_knowledge_only(tiny_world):
     cfg = TrainConfig(alpha=0.0, beta=0.0)
     got = total_loss(batch, params, cfg, vocab, labels, max_len=8)
     # recompute the knowledge term from the knowledge pathway's scores
-    zk = pathway_scores_batch(params, batch, vocab, 8)[0]
-    y = np.stack([labels.multi_hot(d.codes) for d in batch])
+    zk = pathway_scores_batch(params, *batch_inputs(batch, vocab, 8))[0]
+    y = labels.multi_hot_rows(batch)
     p = sigmoid(zk)
     expected = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
     assert got == pytest.approx(expected, abs=1e-12)
@@ -141,7 +147,7 @@ def assert_gradients_match_finite_differences(batch, vocab, labels, cfg):
         return total_loss(batch, p, cfg, vocab, labels, max_len=8)
 
     def grad_fn(p):
-        return batch_loss(batch, p, cfg, vocab, labels, max_len=8)[2].flat
+        return batch_loss(p, cfg, *loss_inputs(batch, vocab, labels))[2].flat
 
     report = finite_difference_check(loss_fn, grad_fn, base, step=1e-5, tol=1e-3)
     assert report.passed, (report.worst_parameter, report.max_relative_error)
@@ -183,7 +189,7 @@ def test_batch_loss_runs_the_demographic_branch_once_per_cell(tiny_world, monkey
 
     monkeypatch.setattr(model, "forward_batch", forward_spy)
     monkeypatch.setattr(model, "backward_batch", backward_spy)
-    batch_loss(batch, tiny_params(vocab, labels), TrainConfig(), vocab, labels, max_len=8)
+    batch_loss(tiny_params(vocab, labels), TrainConfig(), *loss_inputs(batch, vocab, labels))
     assert len(forwarded) == len(backpropagated) == 1
     np.testing.assert_array_equal(forwarded[0], CELL_IDS)  # each of the eight cells exactly once
     np.testing.assert_array_equal(backpropagated[0], CELL_IDS)
@@ -192,9 +198,9 @@ def test_batch_loss_runs_the_demographic_branch_once_per_cell(tiny_world, monkey
 def test_alpha_gates_the_demographic_gradient(tiny_world):
     docs, _, vocab, labels = tiny_world
     params = tiny_params(vocab, labels, seed=12)
-    batch = docs[:5]
-    with_demo = batch_loss(batch, params, TrainConfig(alpha=0.5, beta=0.0), vocab, labels, max_len=8)[2]
-    without = batch_loss(batch, params, TrainConfig(alpha=0.0, beta=0.0), vocab, labels, max_len=8)[2]
+    inputs = loss_inputs(docs[:5], vocab, labels)
+    with_demo = batch_loss(params, TrainConfig(alpha=0.5, beta=0.0), *inputs)[2]
+    without = batch_loss(params, TrainConfig(alpha=0.0, beta=0.0), *inputs)[2]
     assert (with_demo.flat != without.flat).any()
 
 
@@ -245,18 +251,53 @@ def test_max_len_defaults_to_the_model_config_window(tiny_world):
     params = tiny_params(vocab, labels, seed=5)
     cfg = TrainConfig(epochs=1, batch_size=4)
     window = ModelConfig.max_len
-    assert total_loss(long_docs, params, cfg, vocab, labels) == \
-        total_loss(long_docs, params, cfg, vocab, labels, max_len=window)
-    assert total_loss(long_docs, params, cfg, vocab, labels) != \
-        total_loss(long_docs, params, cfg, vocab, labels, max_len=32)
-    loss, parts, grads = batch_loss(long_docs, params, cfg, vocab, labels)
-    want_loss, want_parts, want_grads = batch_loss(long_docs, params, cfg, vocab, labels, max_len=window)
-    assert (loss, parts) == (want_loss, want_parts)
-    np.testing.assert_array_equal(grads.flat, want_grads.flat)
     best, log = train(long_docs, dev[:4], params, vocab, labels, cfg)
     want_best, want_log = train(long_docs, dev[:4], params, vocab, labels, cfg, max_len=window)
     np.testing.assert_array_equal(best.flat, want_best.flat)
     assert log == want_log
+
+
+def test_train_tokenizes_each_split_once(tiny_world, monkeypatch):
+    docs, dev, vocab, labels = tiny_world
+    real, tokenized = model.batch_inputs, []
+
+    def spy(split, *args):
+        tokenized.append(len(split))
+        return real(split, *args)
+
+    monkeypatch.setattr(model, "batch_inputs", spy)
+    cfg = TrainConfig(epochs=2, batch_size=8)
+    train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    assert tokenized == [len(docs), len(dev)]  # not once per batch, nor per dev scoring
+    tokenized.clear()
+    train(docs, [], tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    assert tokenized == [len(docs)]
+
+
+def test_train_cuts_each_batch_to_its_longest_note(tiny_world, monkeypatch):
+    docs, _, vocab, labels = tiny_world
+    # notes of 0 to 9 words in a window of 2 + 6 ids: some batches fill it, some do not
+    rng = np.random.default_rng(3)
+    mixed = [replace(d, text=" ".join(rng.choice(d.text.split() * 2, size=rng.integers(0, 10))))
+             for d in docs]
+    full_rows = batch_inputs(mixed, vocab, 8)[0]
+    forwarded = []
+
+    def forward_spy(p, ids):
+        if ids is not CELL_IDS:  # skip the demographic view
+            forwarded.append(np.array(ids))
+        return forward_batch(p, ids)
+
+    monkeypatch.setattr(model, "forward_batch", forward_spy)
+    cfg = TrainConfig(epochs=2, batch_size=3)
+    train(mixed, [], tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    assert len(forwarded) == 2 * 8  # 24 notes in batches of 3, two epochs, no dev split
+    widths = [ids.shape[1] for ids in forwarded]
+    assert widths == [int((ids != PAD_ID).sum(axis=1).max()) for ids in forwarded]
+    assert min(widths) < 8 == max(widths)
+    for epoch in (forwarded[:8], forwarded[8:]):  # every note once an epoch, uncut
+        rows = np.concatenate([np.pad(ids, ((0, 0), (0, 8 - ids.shape[1]))) for ids in epoch])
+        assert sorted(rows.tolist()) == sorted(full_rows.tolist())
 
 
 def test_adam_first_step_is_signed_lr(tiny_world):
@@ -387,9 +428,9 @@ def test_train_keeps_best_dev_params(tiny_world):
     docs, dev, vocab, labels = tiny_world
     cfg = TrainConfig(epochs=4, seed=1)
     best, log = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
-    zk, zd, ze = pathway_scores_batch(best, dev, vocab, 8)
+    zk, zd, ze = pathway_scores_batch(best, *batch_inputs(dev, vocab, 8))
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
-    gold = np.stack([labels.multi_hot(d.codes) for d in dev])
+    gold = labels.multi_hot_rows(dev)
     _, micro, _ = f1_scores(scores >= 0.5, gold)
     assert micro == pytest.approx(max(r["dev_metrics"]["micro_f1"] for r in log), abs=1e-12)
     assert log[selected_epoch(log) - 1]["dev_metrics"]["micro_f1"] == max(
@@ -437,8 +478,8 @@ def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
     assert ckpt.max_len == 8
     assert ckpt.config == {"alpha": 0.5}
     # forward through loaded params matches forward through cast params exactly
-    want = pathway_scores_batch(cast, docs[:3], vocab, 8)
-    got = pathway_scores_batch(ckpt.params, docs[:3], vocab, 8)
+    want = pathway_scores_batch(cast, *batch_inputs(docs[:3], vocab, 8))
+    got = pathway_scores_batch(ckpt.params, *batch_inputs(docs[:3], vocab, 8))
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
