@@ -42,8 +42,8 @@ _KEY_OF_FIELD = {"seed": "seed", "learning_rate": "train.lr"}
 
 # dataclass -> {field name: config key}, in field order.
 _FIELD_KEYS = {
-    cls: {f.name: _KEY_OF_FIELD.get(f.name, f"{section}.{f.name}") for f in fields(cls)}
-    for section, cls in (("data", SyntheticConfig), ("model", ModelConfig), ("train", TrainConfig))
+    cls: {f.name: _KEY_OF_FIELD.get(f.name, f"{prefix}.{f.name}") for f in fields(cls)}
+    for prefix, cls in (("data", SyntheticConfig), ("model", ModelConfig), ("train", TrainConfig))
 }
 
 
@@ -96,50 +96,35 @@ def _coerce(key: str, raw):
     raise ConfigError(f"unhandled config key {key}")
 
 
-class RunConfig:
+def build_config(config_path: str | None, overrides: dict) -> dict:
     """Resolved configuration: defaults, then file values, then flag values."""
-
-    def __init__(self, values: dict):
-        self._values = values
-
-    def __getitem__(self, key: str):
-        return self._values[key]
-
-    @classmethod
-    def build(cls, config_path: str | None, overrides: dict) -> "RunConfig":
-        values = dict(DEFAULTS)
-        if config_path is not None:
-            try:
-                raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {config_path}: invalid JSON: {exc.msg}") from None
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config file {config_path} must hold a JSON object")
-            for key, val in raw.items():
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown config key {key!r}")
-                values[key] = _coerce(key, val)
-        for key, val in overrides.items():
+    values = dict(DEFAULTS)
+    if config_path is not None:
+        try:
+            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {config_path}: invalid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {config_path} must hold a JSON object")
+        for key, val in raw.items():
+            if key not in DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, val)
-        return cls(values)
+    for key, val in overrides.items():
+        values[key] = _coerce(key, val)
+    return values
 
-    def echo(self) -> dict:
-        """The values as strict JSON: a non-finite float is written as its
-        string ("inf"), which _coerce reads back, so an echo is a config file."""
-        return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-                for k, v in self._values.items()}
 
-    def _dataclass(self, cls):
-        return cls(**{name: self._values[key] for name, key in _FIELD_KEYS[cls].items()})
+def echo(cfg: dict) -> dict:
+    """cfg as strict JSON: a non-finite float is written as its string
+    ("inf"), which _coerce reads back, so an echo is a config file."""
+    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in cfg.items()}
 
-    def synthetic_config(self) -> SyntheticConfig:
-        return self._dataclass(SyntheticConfig)
 
-    def model_config(self) -> ModelConfig:
-        return self._dataclass(ModelConfig)
-
-    def train_config(self) -> TrainConfig:
-        return self._dataclass(TrainConfig)
+def section(cfg: dict, cls):
+    """The SyntheticConfig, ModelConfig or TrainConfig that cfg holds."""
+    return cls(**{name: cfg[key] for name, key in _FIELD_KEYS[cls].items()})
 
 
 def _split_config_flags(argv: list[str]) -> tuple[dict, list[str]]:
@@ -193,12 +178,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def cmd_gen_data(cfg: RunConfig, args) -> int:
-    scfg = cfg.synthetic_config()
+def cmd_gen_data(cfg: dict, args) -> int:
+    scfg = section(cfg, SyntheticConfig)
     # Every section is checked before any directory or file is touched, so
     # the manifest never echoes a config that train would refuse.
-    for section in (scfg, cfg.model_config(), cfg.train_config()):
-        section.validate()
+    for part in (scfg, section(cfg, ModelConfig), section(cfg, TrainConfig)):
+        part.validate()
     out_dir = Path(args.out or cfg["data.dir"])
     splits = dict(zip(("train", "dev", "test"), generate_synthetic(scfg)))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,7 +193,7 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     manifest = {
         "command": "gen-data",
         "seed": cfg["seed"],
-        "config": cfg.echo(),
+        "config": echo(cfg),
         "files": {name: f"{name}.jsonl" for name in splits} | {"labels": "labels.txt"},
         "counts": {name: len(docs) for name, docs in splits.items()},
     }
@@ -217,10 +202,10 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: dict, args) -> int:
     data_dir = Path(cfg["data.dir"])
     out_dir = Path(args.out or cfg["run.dir"])
-    mcfg = cfg.model_config()
+    mcfg = section(cfg, ModelConfig)
     mcfg.validate()  # before any data is loaded
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"output path {out_dir} is not a directory")
@@ -234,14 +219,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
         embed_dim=mcfg.embed_dim, hidden_dim=mcfg.hidden_dim,
         n_experts=mcfg.n_experts, seed=cfg["seed"],
     )
-    best, log = train(train_docs, dev_docs, params, vocab, label_space, cfg.train_config(),
+    best, log = train(train_docs, dev_docs, params, vocab, label_space, section(cfg, TrainConfig),
                       max_len=mcfg.max_len)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "epochs.jsonl", "w", encoding="utf-8") as fh:
         for record in log:
             fh.write(json.dumps(record) + "\n")
     save_checkpoint(out_dir / "checkpoint.deci", best, vocab, label_space,
-                    max_len=mcfg.max_len, config=cfg.echo())
+                    max_len=mcfg.max_len, config=echo(cfg))
     # report the model the checkpoint holds: the selected epoch, as read back
     saved = load_checkpoint(out_dir / "checkpoint.deci").params
     final_dev = None
@@ -249,12 +234,12 @@ def cmd_train(cfg: RunConfig, args) -> int:
         final_dev = dev_metrics(saved, *batch_inputs(dev_docs, vocab, mcfg.max_len),
                                 label_space.multi_hot_rows(dev_docs))
     summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
-    _write_json(out_dir / "train_manifest.json", {"command": "train", "config": cfg.echo(), **summary})
+    _write_json(out_dir / "train_manifest.json", {"command": "train", "config": echo(cfg), **summary})
     print(json.dumps({**summary, "epochs": len(log)}))
     return 0
 
 
-def _mode_from(cfg: RunConfig) -> InferenceMode:
+def _mode_from(cfg: dict) -> InferenceMode:
     try:
         return InferenceMode(cfg["eval.mode"])
     except ValueError:
@@ -262,7 +247,7 @@ def _mode_from(cfg: RunConfig) -> InferenceMode:
         raise ConfigError(f"unknown eval mode {cfg['eval.mode']!r}; expected one of: {valid}") from None
 
 
-def _confounded_label_name(cfg: RunConfig, label_space: LabelSpace) -> str:
+def _confounded_label_name(cfg: dict, label_space: LabelSpace) -> str:
     idx = cfg["data.confounded_label"]
     if not 0 <= idx < len(label_space):
         raise ConfigError(f"data.confounded_label must index one of the checkpoint's "
@@ -270,7 +255,7 @@ def _confounded_label_name(cfg: RunConfig, label_space: LabelSpace) -> str:
     return label_space.labels[idx]
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: dict, args) -> int:
     ckpt = load_checkpoint(Path(cfg["run.dir"]) / "checkpoint.deci")
     confounded_label = _confounded_label_name(cfg, ckpt.label_space)
     data_dir = Path(cfg["data.dir"])
@@ -311,7 +296,7 @@ def _print_ablation_table(reports: dict) -> None:
         print("  ".join([f"{name:>15}"] + [f"{c:>9}" for c in cells]))
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
+def cmd_predict(cfg: dict, args) -> int:
     ckpt = load_checkpoint(Path(cfg["run.dir"]) / "checkpoint.deci")
     docs = load_jsonl(args.input)
     lines = []
@@ -337,7 +322,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(rest)
         except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
             return 1 if exc.code else 0
-        cfg = RunConfig.build(args.config, overrides)
+        cfg = build_config(args.config, overrides)
         code = args.func(cfg, args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

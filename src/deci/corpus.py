@@ -140,9 +140,6 @@ class Vocabulary:
         """Id of token, or UNK's id when the token is unknown."""
         return self._token_to_id.get(token, UNK_ID)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and other._id_to_token == self._id_to_token
-
     def to_list(self) -> list[str]:
         return list(self._id_to_token)
 

@@ -150,9 +150,17 @@ def _row_blocks(B: int, N: int, d_h: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, B, step)]
 
 
-def _softmax_last(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Softmax of x over its last axis, in place; returns x. A row of -inf
+    only, an all-PAD document's attention logits, becomes all zeros."""
+    rowmax = x.max(axis=-1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    x -= rowmax
+    np.exp(x, out=x)
+    denom = x.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    x /= denom
+    return x
 
 
 def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
@@ -173,14 +181,7 @@ def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
         enc_tok[0] = 0.0
         logit_tok[:, 0] = -np.inf
 
-    att = np.take(logit_tok, where, axis=1).transpose(1, 0, 2)  # logits, (B, L, N)
-    rowmax = att.max(axis=2, keepdims=True)
-    rowmax[~np.isfinite(rowmax)] = 0.0  # all-PAD documents
-    att -= rowmax
-    np.exp(att, out=att)
-    denom = att.sum(axis=2, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    att /= denom
+    att = _softmax_last(np.take(logit_tok, where, axis=1).transpose(1, 0, 2))  # (B, L, N)
     label_repr = np.empty((B, L, params.hidden_dim))
     for rows in _row_blocks(B, N, params.hidden_dim):  # N >= 1 past the softmax
         np.matmul(att[rows], enc_tok[where[rows]], out=label_repr[rows])

@@ -72,10 +72,10 @@ def _bce_and_grad(z: np.ndarray, y: np.ndarray):
     return loss, (sigmoid(z) - y) / z.size
 
 
-def batch_loss(params: M.ModelParams, cfg: TrainConfig, ids, cells, gold, want_grads: bool = True):
+def batch_loss(params: M.ModelParams, cfg: TrainConfig, ids, cells, gold):
     """(total, {"loss_k", "loss_d", "loss_e"}, gradient) of the three-term objective, averaged
     over a batch: the (ids, cells) of model.batch_inputs and the (n, n_labels) gold matrix.
-    The gradient is a ModelParams, or None without want_grads."""
+    The gradient is a ModelParams."""
     if not len(ids):
         raise ValueError("empty document batch")
     full = M.forward_batch(params, ids)
@@ -85,8 +85,6 @@ def batch_loss(params: M.ModelParams, cfg: TrainConfig, ids, cells, gold, want_g
     loss_e, ge = _bce_and_grad(full.uniform, gold)
     total = loss_k + cfg.alpha * loss_d + cfg.beta * loss_e
     parts = {"loss_k": loss_k, "loss_d": loss_d, "loss_e": loss_e}
-    if not want_grads:
-        return total, parts, None
     grads = M.ModelParams(params.dims)
     M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:

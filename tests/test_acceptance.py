@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from deci.cli import RunConfig, main
+from deci.cli import build_config, main, section
 from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
 from deci.model import batch_inputs, forward_batch, init_params, pathway_scores_batch
@@ -31,9 +31,9 @@ def _line(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
 
 
-def _canonical(overrides: dict) -> RunConfig:
+def _canonical(overrides: dict) -> dict:
     """The CLI's default configuration with per-run overrides applied."""
-    return RunConfig.build(None, overrides)
+    return build_config(None, overrides)
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_suite():
     inputs = (*batch_inputs(batch, vocab, 8), labels.multi_hot_rows(batch))
 
     def loss_fn(p):
-        return batch_loss(p, cfg, *inputs, want_grads=False)[0]
+        return batch_loss(p, cfg, *inputs)[0]
 
     def grad_fn(p):
         return batch_loss(p, cfg, *inputs)[2].flat
@@ -196,14 +196,14 @@ def test_criterion_3_metric_oracles():
 def test_criterion_4_overfit_check():
     cfg = _canonical({"data.n_train": 16, "data.n_dev": 0, "data.n_test": 0,
                       "train.epochs": 200})
-    scfg = cfg.synthetic_config()
+    scfg = section(cfg, SyntheticConfig)
     docs, _, _ = generate_synthetic(scfg)
     vocab = Vocabulary.from_documents(docs)
     labels = synthetic_label_space(scfg)
     params = init_params(vocab.size, len(labels),
                          embed_dim=cfg["model.embed_dim"], hidden_dim=cfg["model.hidden_dim"],
                          n_experts=cfg["model.n_experts"], seed=cfg["seed"])
-    tcfg = cfg.train_config()
+    tcfg = section(cfg, TrainConfig)
     best, log = train(docs, [], params, vocab, labels, tcfg, max_len=cfg["model.max_len"])
     zk, zd, ze = pathway_scores_batch(best, *batch_inputs(docs, vocab, cfg["model.max_len"]))
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
@@ -233,7 +233,7 @@ def test_criterion_5_debias_experiment():
     rows = []
     for seed in range(5):
         cfg = _canonical({"seed": seed})
-        scfg = cfg.synthetic_config()
+        scfg = section(cfg, SyntheticConfig)
         assert (scfg.n_labels, scfg.vocab_size) == (20, 1000)
         assert (scfg.n_train, scfg.n_dev, scfg.n_test) == (2000, 500, 500)
         assert (scfg.p_conf_train, scfg.p_conf_test) == (0.9, 0.5)
@@ -244,7 +244,7 @@ def test_criterion_5_debias_experiment():
                              embed_dim=cfg["model.embed_dim"],
                              hidden_dim=cfg["model.hidden_dim"],
                              n_experts=cfg["model.n_experts"], seed=seed)
-        best, _ = train(train_docs, dev_docs, params, vocab, labels, cfg.train_config(),
+        best, _ = train(train_docs, dev_docs, params, vocab, labels, section(cfg, TrainConfig),
                         max_len=cfg["model.max_len"])
         conf = labels.labels[scfg.confounded_label]
         table = run_ablation(test_docs, best, vocab, labels, max_len=cfg["model.max_len"],

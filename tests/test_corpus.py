@@ -130,7 +130,7 @@ def test_age_bucket_rejects_out_of_range():
 def test_demographic_tokens_pairs(small_vocab):
     # every vocabulary reserves the demographic tokens at the ids CELL_IDS holds
     other = Vocabulary.from_documents([Document(id="d", text="zeta alpha", age=1, gender="M")])
-    assert other != small_vocab
+    assert other.to_list() != small_vocab.to_list()
     for vocab in (small_vocab, other):
         want = [[vocab.id(age), vocab.id(gender)] for age in AGE_TOKENS for gender in GENDER_TOKENS]
         assert CELL_IDS.tolist() == want
@@ -241,7 +241,7 @@ def test_vocabulary_round_trip_and_duplicates():
     v = Vocabulary(["b", "a"])
     assert v.to_list()[v.id("a")] == "a"
     assert v.id("missing") == UNK_ID
-    assert Vocabulary.from_list(v.to_list()) == v
+    assert Vocabulary.from_list(v.to_list()).to_list() == v.to_list()
     with pytest.raises(ValidationError, match="token 'a'"):
         Vocabulary(["a", "a"])
     with pytest.raises(ValidationError, match="token 'x'"):

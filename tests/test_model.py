@@ -196,6 +196,15 @@ def test_gate_single_expert_is_trivial(vocab):
     np.testing.assert_array_equal(gate, np.ones((3, 5, 1)))
 
 
+def test_gate_is_bitwise_the_plain_softmax(params, vocab):
+    # the attention's guards for all-PAD rows never fire on finite gate logits
+    p = randomized(params, 11)
+    br = forward_batch(p, random_rows(vocab.size, 12, shape=(6, 7)))
+    logits = br.label_repr @ p.gate_w + p.gate_bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.array_equal(br.gate, e / e.sum(axis=-1, keepdims=True))
+
+
 def test_zk_equals_ze_under_uniform_gate(params, vocab):
     # gate weights are zero at init, so the gated mixture IS the uniform one
     br = forward_batch(params, random_rows(vocab.size, 13))

@@ -69,8 +69,8 @@ def loss_inputs(docs, vocab, labels, max_len=8):
 
 
 def total_loss(docs, params, cfg, vocab, labels, max_len):
-    """The objective's total, from batch_loss without gradients."""
-    return batch_loss(params, cfg, *loss_inputs(docs, vocab, labels, max_len), want_grads=False)[0]
+    """The objective's total, from batch_loss."""
+    return batch_loss(params, cfg, *loss_inputs(docs, vocab, labels, max_len))[0]
 
 
 def tiny_params(vocab, labels, seed=0, **kw):
@@ -473,7 +473,7 @@ def test_checkpoint_round_trip_bit_exact_after_cast(tiny_world, tmp_path):
     cast = single_precision(params)
     for k, arr in named_arrays(ckpt.params).items():
         np.testing.assert_array_equal(arr, named_arrays(cast)[k])
-    assert ckpt.vocab == vocab
+    assert ckpt.vocab.to_list() == vocab.to_list()
     assert ckpt.label_space == labels
     assert ckpt.max_len == 8
     assert ckpt.config == {"alpha": 0.5}
