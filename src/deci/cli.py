@@ -219,7 +219,11 @@ def cmd_train(cfg: dict, args) -> int:
         embed_dim=mcfg.embed_dim, hidden_dim=mcfg.hidden_dim,
         n_experts=mcfg.n_experts, seed=cfg["seed"],
     )
-    best, log = train(train_docs, dev_docs, params, vocab, label_space, section(cfg, TrainConfig),
+    # tokenized once, for every epoch's dev score and the saved model's
+    dev = None
+    if dev_docs:
+        dev = (*batch_inputs(dev_docs, vocab, mcfg.max_len), label_space.multi_hot_rows(dev_docs))
+    best, log = train(train_docs, dev, params, vocab, label_space, section(cfg, TrainConfig),
                       max_len=mcfg.max_len)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "epochs.jsonl", "w", encoding="utf-8") as fh:
@@ -229,10 +233,7 @@ def cmd_train(cfg: dict, args) -> int:
                     max_len=mcfg.max_len, config=echo(cfg))
     # report the model the checkpoint holds: the selected epoch, as read back
     saved = load_checkpoint(out_dir / "checkpoint.deci").params
-    final_dev = None
-    if dev_docs:
-        final_dev = dev_metrics(saved, *batch_inputs(dev_docs, vocab, mcfg.max_len),
-                                label_space.multi_hot_rows(dev_docs))
+    final_dev = None if dev is None else dev_metrics(saved, *dev)
     summary = {"final_dev_metrics": final_dev, "selected_epoch": selected_epoch(log)}
     _write_json(out_dir / "train_manifest.json", {"command": "train", "config": echo(cfg), **summary})
     print(json.dumps({**summary, "epochs": len(log)}))

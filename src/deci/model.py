@@ -236,11 +236,14 @@ def backward_batch(
     dH += dglog @ params.gate_w.T
 
     A, E = br.attention, br.encoded  # gathered here; its buffer then holds dE and dU
-    dA = np.matmul(dH, E.transpose(0, 2, 1), out=np.empty_like(A))  # A's (L, B, N) layout, as is dalog
-    dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
+    # dA in A's (L, B, N) layout, then in its own buffer dalog = A * (dA - (A * dA).sum(-1))
+    dalog = np.matmul(dH, E.transpose(0, 2, 1), out=np.empty_like(A))
+    dalog -= (A * dalog).sum(axis=-1, keepdims=True)
+    dalog *= A
     grads.label_queries += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
     dU = np.matmul(A.transpose(0, 2, 1), dH, out=E)
-    tanh_grad = 1.0 - br.enc_tok * br.enc_tok  # per token; PAD rows of dE are ±0
+    tanh_grad = br.enc_tok * br.enc_tok
+    np.subtract(1.0, tanh_grad, out=tanh_grad)  # per token; PAD rows of dE are ±0
     for rows in _row_blocks(*dU.shape):
         dU[rows] += dalog[rows].transpose(0, 2, 1) @ params.label_queries
         dU[rows] *= tanh_grad[br.where[rows]]
@@ -276,8 +279,10 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     Full rows are forwarded longest first, batch_size at a time, so each
     chunk's full view is only as wide as its first row. The stable order keeps
     input order among equal lengths, so where every row fills the window the
-    chunks are consecutive input rows. The demographic view is forwarded once,
-    on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
+    chunks are consecutive input rows. Only one chunk's branch is alive at a
+    time: each is dropped before the next forward. The demographic view is
+    forwarded once, on CELL_IDS, so z_d is independent of the batch. Scores
+    keep input order.
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
@@ -289,4 +294,5 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
         rows = order[lo: lo + batch_size]
         full = forward_batch(params, ids[rows, :lengths[rows[0]]])
         zk[rows], ze[rows] = full.gated, full.uniform
+        del full
     return zk, forward_batch(params, CELL_IDS).gated[cells], ze

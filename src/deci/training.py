@@ -150,13 +150,14 @@ def dev_metrics(params, ids, cells, gold) -> dict:
     return {"micro_f1": micro_f1, "macro_f1": macro_f1, "micro_auc": micro_auc}
 
 
-def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
+def train(train_docs, dev, params: M.ModelParams, vocab: Vocabulary,
           label_space: LabelSpace, cfg: TrainConfig, max_len: int = M.ModelConfig.max_len):
     """Mini-batch Adam over the joint objective.
 
+    dev is the dev split as dev_metrics takes it, (ids, cells, gold), or None.
     Returns (best_params, epoch_log). best_params are the parameters after
     epoch selected_epoch(epoch_log): the first with the highest dev micro-F1
-    of thresholded debiased predictions, or the last with no dev documents.
+    of thresholded debiased predictions, or the last with no dev split.
     The epoch log has one record per epoch: {"epoch", "train_loss",
     "loss_k", "loss_d", "loss_e", "dev_metrics"}. Fixed cfg.seed fixes the
     shuffle order, so runs are bit-for-bit reproducible.
@@ -164,12 +165,10 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
     cfg.validate()
     if not train_docs:
         raise ValidationError("empty training set")
-    # each split is tokenized once; a batch is cut to its widest note, as PAD only trails
+    # the split is tokenized once; a batch is cut to its widest note, as PAD only trails
     ids, cells = M.batch_inputs(train_docs, vocab, max_len)
     gold = label_space.multi_hot_rows(train_docs)
     lengths = (ids != PAD_ID).sum(axis=1)
-    if dev_docs:
-        dev = (*M.batch_inputs(dev_docs, vocab, max_len), label_space.multi_hot_rows(dev_docs))
     params = params.copy()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(cfg.seed)
@@ -196,7 +195,7 @@ def train(train_docs, dev_docs, params: M.ModelParams, vocab: Vocabulary,
             "loss_e": sums["loss_e"] / n,
             "dev_metrics": None,
         }
-        if dev_docs:
+        if dev is not None:
             record["dev_metrics"] = dev_metrics(params, *dev)
         log.append(record)
         if selected_epoch(log) == epoch:

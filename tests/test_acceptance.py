@@ -204,7 +204,7 @@ def test_criterion_4_overfit_check():
                          embed_dim=cfg["model.embed_dim"], hidden_dim=cfg["model.hidden_dim"],
                          n_experts=cfg["model.n_experts"], seed=cfg["seed"])
     tcfg = section(cfg, TrainConfig)
-    best, log = train(docs, [], params, vocab, labels, tcfg, max_len=cfg["model.max_len"])
+    best, log = train(docs, None, params, vocab, labels, tcfg, max_len=cfg["model.max_len"])
     zk, zd, ze = pathway_scores_batch(best, *batch_inputs(docs, vocab, cfg["model.max_len"]))
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
     gold = labels.multi_hot_rows(docs)
@@ -244,7 +244,8 @@ def test_criterion_5_debias_experiment():
                              embed_dim=cfg["model.embed_dim"],
                              hidden_dim=cfg["model.hidden_dim"],
                              n_experts=cfg["model.n_experts"], seed=seed)
-        best, _ = train(train_docs, dev_docs, params, vocab, labels, section(cfg, TrainConfig),
+        dev = (*batch_inputs(dev_docs, vocab, cfg["model.max_len"]), labels.multi_hot_rows(dev_docs))
+        best, _ = train(train_docs, dev, params, vocab, labels, section(cfg, TrainConfig),
                         max_len=cfg["model.max_len"])
         conf = labels.labels[scfg.confounded_label]
         table = run_ablation(test_docs, best, vocab, labels, max_len=cfg["model.max_len"],
@@ -292,7 +293,7 @@ def test_criterion_6_persistence(tmp_path):
     labels = synthetic_label_space(scfg)
     params = init_params(vocab.size, len(labels), embed_dim=12, hidden_dim=12,
                          n_experts=2, seed=9)
-    best, _ = train(train_docs, [], params, vocab, labels, TrainConfig(epochs=2), max_len=10)
+    best, _ = train(train_docs, None, params, vocab, labels, TrainConfig(epochs=2), max_len=10)
     path = tmp_path / "model.deci"
     save_checkpoint(path, best, vocab, labels, max_len=10)
     ckpt = load_checkpoint(path)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import deci
-from deci import cli, training
+from deci import cli, model, training
 from deci.cli import DEFAULTS, main
 from deci.corpus import PAD_ID, load_jsonl
 from deci.errors import ParseError
@@ -144,6 +144,21 @@ def test_train_reports_the_saved_epoch(pipeline, tmp_path, monkeypatch, capsys):
     assert main(["train", *TINY, "--epochs", "1", "--data.dir", str(data),
                  "--run.dir", str(one)]) == 0
     np.testing.assert_array_equal(load_checkpoint(one / "checkpoint.deci").params.flat, ckpt.params.flat)
+
+
+def test_train_tokenizes_each_split_once(pipeline, tmp_path, monkeypatch):
+    data, _ = pipeline
+    tokenized = []
+
+    def spy(docs, *args):
+        tokenized.append(len(docs))
+        return batch_inputs(docs, *args)
+
+    monkeypatch.setattr(cli, "batch_inputs", spy)
+    monkeypatch.setattr(model, "batch_inputs", spy)
+    assert main(["train", *TINY, "--data.dir", str(data), "--run.dir", str(tmp_path / "run")]) == 0
+    # 80 training notes, and 30 dev notes for every epoch's score and the saved model's
+    assert sorted(tokenized) == [30, 80]
 
 
 def test_train_aliases_and_keys_resolve_in_order(pipeline, tmp_path, capsys):

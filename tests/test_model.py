@@ -452,7 +452,8 @@ def test_forward_batch_never_gathers_every_position_at_once():
     over that array. 8 labels keep the (B, L, N) attention and (B, L, d_h)
     label representations, which the branch returns, well under that half.
     The backward gathers that array once and reuses it for the position
-    gradients, so it peaks below twice its bytes."""
+    gradients, and forms the attention-logit gradient in its own buffer, so
+    it peaks below 1.4 times its bytes."""
     p = randomized(init_params(300, 8, seed=0), 32)
     ids = random_rows(300, 32, shape=(64, 96))
     ids[0] = np.arange(1, 97)
@@ -463,10 +464,80 @@ def test_forward_batch_never_gathers_every_position_at_once():
     br = forward_batch(p, ids)
     assert np.array_equal(br.label_repr, np.matmul(br.attention, br.encoded))
     d = np.random.default_rng(32).normal(size=br.gated.shape)
-    assert traced_peak(backward_batch, p, br, d, d, ModelParams(p.dims)) < 2 * per_position
+    assert traced_peak(backward_batch, p, br, d, d, ModelParams(p.dims)) < 1.4 * per_position
     tokens, where = np.unique(ids, return_inverse=True)
     np.testing.assert_array_equal(br.tokens, tokens)
     np.testing.assert_array_equal(br.where, where.reshape(ids.shape))
+
+
+def test_scoring_holds_one_chunk_at_a_time():
+    """pathway_scores_batch lets go of each chunk's branch before it forwards
+    the next, so scoring three chunks peaks below 1.5 times scoring one (two
+    chunks' branches alive at once would take it to ~1.9), and every row is
+    still bitwise what forward_batch gives on its chunk."""
+    p = randomized(init_params(300, 20, seed=0), 33)
+    rng = np.random.default_rng(33)
+    B = 64
+    cells = rng.integers(0, len(CELL_IDS), size=3 * B)
+    ids = rng.integers(len(RESERVED_TOKENS), 300, size=(3 * B, 96))  # no PAD: chunks in input order
+    ids[:, :2] = CELL_IDS[cells]
+    one = traced_peak(pathway_scores_batch, p, ids[:B], cells[:B], B)
+    assert traced_peak(pathway_scores_batch, p, ids, cells, B) < 1.5 * one
+    zk, zd, ze = pathway_scores_batch(p, ids, cells, B)
+    assert np.array_equal(zd, forward_batch(p, CELL_IDS).gated[cells])
+    for lo in range(0, 3 * B, B):
+        full = forward_batch(p, ids[lo: lo + B])
+        assert np.array_equal(zk[lo: lo + B], full.gated)
+        assert np.array_equal(ze[lo: lo + B], full.uniform)
+
+
+def out_of_place_backward_batch(params, br, d_gated, d_uniform, grads):
+    """backward_batch with the attention-logit gradient written as
+    A * (dA - (A * dA).sum(-1)) and tanh' as 1 - enc_tok**2, each a new
+    array. backward_batch forms both in place with the same operations in
+    the same order, so its gradients must be bitwise these."""
+    L, F, d_h = params.n_labels, params.n_experts, params.hidden_dim
+    S, G, H = br.expert_scores.transpose(0, 2, 1), br.gate, br.label_repr
+    dS = d_gated[..., None] * G + (d_uniform / F)[..., None]
+    dS_by_label = dS.transpose(1, 0, 2)
+    grads.expert_w += (dS_by_label.transpose(0, 2, 1) @ H.transpose(1, 0, 2)).transpose(1, 0, 2)
+    grads.expert_b += dS.sum(axis=0).T
+    dH = np.empty_like(H)
+    np.matmul(dS_by_label, params.expert_w.transpose(1, 0, 2), out=dH.transpose(1, 0, 2))
+    dG = d_gated[..., None] * S
+    dglog = G * (dG - (G * dG).sum(axis=-1, keepdims=True))
+    grads.gate_w += H.reshape(-1, d_h).T @ dglog.reshape(-1, F)
+    grads.gate_bias += dglog.sum(axis=(0, 1))
+    dH += dglog @ params.gate_w.T
+    A, E = br.attention, br.encoded
+    dA = np.matmul(dH, E.transpose(0, 2, 1), out=np.empty_like(A))
+    dalog = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
+    grads.label_queries += dalog.transpose(1, 0, 2).reshape(L, -1) @ E.reshape(-1, d_h)
+    dU = np.matmul(A.transpose(0, 2, 1), dH, out=E)
+    tanh_grad = 1.0 - br.enc_tok * br.enc_tok
+    for rows in model._row_blocks(*dU.shape):
+        dU[rows] += dalog[rows].transpose(0, 2, 1) @ params.label_queries
+        dU[rows] *= tanh_grad[br.where[rows]]
+    dU_tok = np.zeros((br.tokens.size, d_h))
+    np.add.at(dU_tok, br.where.ravel(), dU.reshape(-1, d_h))
+    grads.enc_proj += br.embedded.T @ dU_tok
+    grads.enc_bias += dU_tok.sum(axis=0)
+    grads.embedding[br.tokens] += dU_tok @ params.enc_proj.T
+
+
+def test_in_place_attention_backward_is_bitwise_the_formula():
+    p = randomized(init_params(300, 8, seed=0), 34)
+    ids = random_rows(300, 34, shape=(20, 64))  # PAD tails, in two row blocks
+    ids[0] = np.arange(1, 65)
+    ids[7] = PAD_ID  # one all-PAD row
+    assert len(model._row_blocks(20, 64, p.hidden_dim)) > 1
+    br = forward_batch(p, ids)
+    rng = np.random.default_rng(34)
+    d_gated, d_uniform = rng.normal(size=br.gated.shape), rng.normal(size=br.gated.shape)
+    got, want = ModelParams(p.dims), ModelParams(p.dims)
+    backward_batch(p, br, d_gated, d_uniform, got)
+    out_of_place_backward_batch(p, br, d_gated, d_uniform, want)
+    assert got.flat.any() and np.array_equal(got.flat, want.flat)
 
 
 def demographic_tokens(age, gender, vocab):

@@ -64,7 +64,7 @@ def tiny_world():
 
 
 def loss_inputs(docs, vocab, labels, max_len=8):
-    """batch_loss's (ids, cells, gold) for a batch of documents."""
+    """(ids, cells, gold) of documents: a batch for batch_loss, or train's dev split."""
     return (*batch_inputs(docs, vocab, max_len), labels.multi_hot_rows(docs))
 
 
@@ -251,8 +251,9 @@ def test_max_len_defaults_to_the_model_config_window(tiny_world):
     params = tiny_params(vocab, labels, seed=5)
     cfg = TrainConfig(epochs=1, batch_size=4)
     window = ModelConfig.max_len
-    best, log = train(long_docs, dev[:4], params, vocab, labels, cfg)
-    want_best, want_log = train(long_docs, dev[:4], params, vocab, labels, cfg, max_len=window)
+    dev_split = loss_inputs(dev[:4], vocab, labels, window)
+    best, log = train(long_docs, dev_split, params, vocab, labels, cfg)
+    want_best, want_log = train(long_docs, dev_split, params, vocab, labels, cfg, max_len=window)
     np.testing.assert_array_equal(best.flat, want_best.flat)
     assert log == want_log
 
@@ -267,10 +268,11 @@ def test_train_tokenizes_each_split_once(tiny_world, monkeypatch):
 
     monkeypatch.setattr(model, "batch_inputs", spy)
     cfg = TrainConfig(epochs=2, batch_size=8)
-    train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
-    assert tokenized == [len(docs), len(dev)]  # not once per batch, nor per dev scoring
+    dev_split = loss_inputs(dev, vocab, labels)
+    train(docs, dev_split, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    assert tokenized == [len(docs)]  # not once per batch; the dev split comes as arrays
     tokenized.clear()
-    train(docs, [], tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    train(docs, None, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     assert tokenized == [len(docs)]
 
 
@@ -290,7 +292,7 @@ def test_train_cuts_each_batch_to_its_longest_note(tiny_world, monkeypatch):
 
     monkeypatch.setattr(model, "forward_batch", forward_spy)
     cfg = TrainConfig(epochs=2, batch_size=3)
-    train(mixed, [], tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    train(mixed, None, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     assert len(forwarded) == 2 * 8  # 24 notes in batches of 3, two epochs, no dev split
     widths = [ids.shape[1] for ids in forwarded]
     assert widths == [int((ids != PAD_ID).sum(axis=1).max()) for ids in forwarded]
@@ -388,9 +390,10 @@ def test_params_are_views_of_one_flat_vector(tiny_world, tmp_path):
 
 def test_train_zero_lr_is_a_no_op(tiny_world):
     docs, dev, vocab, labels = tiny_world
+    dev_split = loss_inputs(dev, vocab, labels)
     params = tiny_params(vocab, labels, seed=3)
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=0)
-    out, log = train(docs, dev, params, vocab, labels, cfg, max_len=8)
+    out, log = train(docs, dev_split, params, vocab, labels, cfg, max_len=8)
     for k, arr in named_arrays(out).items():
         np.testing.assert_array_equal(arr, named_arrays(params)[k])
     losses = [rec["train_loss"] for rec in log]
@@ -399,22 +402,24 @@ def test_train_zero_lr_is_a_no_op(tiny_world):
 
 def test_train_deterministic(tiny_world):
     docs, dev, vocab, labels = tiny_world
+    dev_split = loss_inputs(dev, vocab, labels)
     # small batches so the shuffle seed genuinely reorders batch membership
     cfg = TrainConfig(epochs=2, seed=5, batch_size=8)
-    a, log_a = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
-    b, log_b = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    a, log_a = train(docs, dev_split, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    b, log_b = train(docs, dev_split, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     for k, arr in named_arrays(a).items():
         np.testing.assert_array_equal(arr, named_arrays(b)[k])
     assert log_a == log_b
-    c, _ = train(docs, dev, tiny_params(vocab, labels), vocab, labels,
+    c, _ = train(docs, dev_split, tiny_params(vocab, labels), vocab, labels,
                  TrainConfig(epochs=2, seed=6, batch_size=8), max_len=8)
     assert (a.embedding != c.embedding).any()
 
 
 def test_train_log_shape_and_loss_decreases(tiny_world):
     docs, dev, vocab, labels = tiny_world
+    dev_split = loss_inputs(dev, vocab, labels)
     cfg = TrainConfig(epochs=4, seed=0)
-    _, log = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    _, log = train(docs, dev_split, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     assert [rec["epoch"] for rec in log] == [1, 2, 3, 4]
     for rec in log:
         assert set(rec) == {"epoch", "train_loss", "loss_k", "loss_d", "loss_e", "dev_metrics"}
@@ -426,8 +431,9 @@ def test_train_keeps_best_dev_params(tiny_world):
     from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z
 
     docs, dev, vocab, labels = tiny_world
+    dev_split = loss_inputs(dev, vocab, labels)
     cfg = TrainConfig(epochs=4, seed=1)
-    best, log = train(docs, dev, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    best, log = train(docs, dev_split, tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     zk, zd, ze = pathway_scores_batch(best, *batch_inputs(dev, vocab, 8))
     scores = final_scores_from_z(zk, zd, ze, InferenceMode.DECI)
     gold = labels.multi_hot_rows(dev)
@@ -443,7 +449,7 @@ def test_train_keeps_best_dev_params(tiny_world):
 def test_train_without_dev_returns_final_params(tiny_world):
     docs, _, vocab, labels = tiny_world
     cfg = TrainConfig(epochs=2, seed=0)
-    out, log = train(docs, [], params := tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
+    out, log = train(docs, None, params := tiny_params(vocab, labels), vocab, labels, cfg, max_len=8)
     assert all(rec["dev_metrics"] is None for rec in log)
     assert selected_epoch(log) == 2
     assert (out.embedding != params.embedding).any()
@@ -451,13 +457,14 @@ def test_train_without_dev_returns_final_params(tiny_world):
 
 def test_train_rejects_empty_and_aborts_on_nan(tiny_world):
     docs, dev, vocab, labels = tiny_world
+    dev_split = loss_inputs(dev, vocab, labels)
     params = tiny_params(vocab, labels)
     with pytest.raises(ValueError):
-        train([], dev, params, vocab, labels, TrainConfig(), max_len=8)
+        train([], dev_split, params, vocab, labels, TrainConfig(), max_len=8)
     poisoned = params.copy()
     poisoned.embedding[:] = np.nan
     with pytest.raises(NumericalError, match="epoch 1"):
-        train(docs, dev, poisoned, vocab, labels, TrainConfig(), max_len=8)
+        train(docs, dev_split, poisoned, vocab, labels, TrainConfig(), max_len=8)
 
 
 def single_precision(params):
