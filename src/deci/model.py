@@ -20,11 +20,11 @@ implementation: training, evaluation and prediction all run through them.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import AGE_BOUNDS, CELL_IDS, GENDERS, PAD_ID, Vocabulary, tokenize
+from .corpus import AGE_BOUNDS, CELL_IDS, GENDERS, PAD_ID, UNK_ID, Vocabulary, words
 from .errors import ConfigError, DimensionError
 
 _GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
@@ -163,39 +163,71 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_batch(params: ModelParams, ids: np.ndarray) -> BatchBranch:
-    """Encode a batch of token-id rows (B, N) through one branch."""
+def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray | None:
+    """A float64 view of the given shape into work[name], a flat buffer that
+    is regrown only when too small; None without a workspace, so that an
+    out=None numpy call allocates as it would with no out at all."""
+    if work is None:
+        return None
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work.pop(name, None)  # freed before its successor is allocated, if no view is alive
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
+def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = None) -> BatchBranch:
+    """Encode a batch of token-id rows (B, N) through one branch.
+
+    With a workspace dict, every large array of the forward is a view of a
+    buffer held in work, so the branch is valid until the next call with the
+    same dict. The operations and their order are the same either way, so
+    every value is bitwise the same."""
     ids = np.asarray(ids, dtype=np.int64)
     _validate_ids(params, ids)
     B, N = ids.shape
-    L, F = params.n_labels, params.n_experts
+    L, F, d_h = params.n_labels, params.n_experts, params.hidden_dim
     # np.unique(ids, return_inverse=True) without a sort
     present = np.zeros(params.vocab_size, dtype=bool)
     present[ids] = True
     tokens = np.flatnonzero(present)
     where = (np.cumsum(present) - 1)[ids]
-    embedded = params.embedding[tokens]
-    enc_tok = np.tanh(embedded @ params.enc_proj + params.enc_bias)
-    logit_tok = params.label_queries @ enc_tok.T  # (L, U)
-    if tokens.size and tokens[0] == PAD_ID:  # PAD is the smallest id
+    U = tokens.size
+    # Every index is in range (ids are validated), so "clip" changes none; under
+    # the default "raise", np.take copies into a temporary before it writes out.
+    embedded = np.take(params.embedding, tokens, axis=0,
+                       out=_scratch(work, "embedded", (U, params.embed_dim)), mode="clip")
+    out = _scratch(work, "enc_tok", (U, d_h))  # in place with work, a new array per step without
+    enc_tok = np.matmul(embedded, params.enc_proj, out=out)
+    enc_tok = np.add(enc_tok, params.enc_bias, out=out)
+    enc_tok = np.tanh(enc_tok, out=out)
+    logit_tok = np.matmul(params.label_queries, enc_tok.T, out=_scratch(work, "logit_tok", (L, U)))
+    if U and tokens[0] == PAD_ID:  # PAD is the smallest id
         enc_tok[0] = 0.0
         logit_tok[:, 0] = -np.inf
 
-    att = _softmax_last(np.take(logit_tok, where, axis=1).transpose(1, 0, 2))  # (B, L, N)
-    label_repr = np.empty((B, L, params.hidden_dim))
-    for rows in _row_blocks(B, N, params.hidden_dim):  # N >= 1 past the softmax
-        np.matmul(att[rows], enc_tok[where[rows]], out=label_repr[rows])
+    att = np.take(logit_tok, where, axis=1, out=_scratch(work, "attention", (L, B, N)), mode="clip")
+    att = _softmax_last(att.transpose(1, 0, 2))  # (B, L, N)
+    label_repr = np.empty((B, L, d_h)) if work is None else _scratch(work, "label_repr", (B, L, d_h))
+    for rows in _row_blocks(B, N, d_h):  # N >= 1 past the softmax
+        block = where[rows]  # a gathered block is a temporary, freed before the next
+        np.matmul(att[rows], np.take(enc_tok, block, axis=0, mode="clip",
+                                     out=_scratch(work, "gather", (*block.shape, d_h))),
+                  out=label_repr[rows])
 
     # One (B, d_h) @ (d_h, F) product per label, written into a C-contiguous
     # (B, L, F) array, so that gated and uniform below reduce the same layout
     # and a uniform gate gives them bitwise equal.
-    scores = np.empty((B, L, F))
+    scores = np.empty((B, L, F)) if work is None else _scratch(work, "scores", (B, L, F))
     np.matmul(label_repr.transpose(1, 0, 2), params.expert_w.transpose(1, 2, 0),
               out=scores.transpose(1, 0, 2))
     scores += params.expert_b.T
-    gate = _softmax_last(label_repr @ params.gate_w + params.gate_bias)
-    gated = (gate * scores).sum(axis=-1)
-    uniform = (scores * (1.0 / F)).sum(axis=-1)
+    out = _scratch(work, "gate", (B, L, F))
+    gate = np.matmul(label_repr, params.gate_w, out=out)
+    gate = _softmax_last(np.add(gate, params.gate_bias, out=out))
+    mix = _scratch(work, "mix", (B, L, F))
+    gated = np.multiply(gate, scores, out=mix).sum(axis=-1)
+    uniform = np.multiply(scores, 1.0 / F, out=mix).sum(axis=-1)
     return BatchBranch(
         token_ids=ids, tokens=tokens, where=where, embedded=embedded, enc_tok=enc_tok,
         attention=att, label_repr=label_repr, expert_scores=scores.transpose(0, 2, 1),
@@ -261,7 +293,8 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
     2 + gender, so that its demographic-only view is CELL_IDS[cells]."""
     if max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {max_len}")
-    notes = [tokenize(d.text, vocab)[: max_len - 2] for d in docs]
+    get = vocab._token_to_id.get  # each note is cut to the window before its lookup
+    notes = [list(map(get, words(d.text)[: max_len - 2], repeat(UNK_ID))) for d in docs]
     lengths = np.fromiter(map(len, notes), np.int64, len(notes))
     ids = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
     cells = 2 * np.searchsorted(AGE_BOUNDS, np.array([d.age for d in docs], np.int64), "right")
@@ -279,10 +312,12 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     Full rows are forwarded longest first, batch_size at a time, so each
     chunk's full view is only as wide as its first row. The stable order keeps
     input order among equal lengths, so where every row fills the window the
-    chunks are consecutive input rows. Only one chunk's branch is alive at a
-    time: each is dropped before the next forward. The demographic view is
-    forwarded once, on CELL_IDS, so z_d is independent of the batch. Scores
-    keep input order.
+    chunks are consecutive input rows. Every chunk is forwarded in one
+    workspace (forward_batch's work): the first, widest chunk sizes most of
+    its buffers and later chunks use views of them, so one chunk's intermediates
+    are held at a time and their pages are not returned to the system and
+    faulted in again between chunks. The demographic view is forwarded once,
+    on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
@@ -290,9 +325,10 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     # PAD only trails a row, so its non-PAD count is its width
     lengths = (ids != PAD_ID).sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
+    work = {}
     for lo in range(0, len(ids), batch_size):
         rows = order[lo: lo + batch_size]
-        full = forward_batch(params, ids[rows, :lengths[rows[0]]])
+        full = forward_batch(params, ids[rows, :lengths[rows[0]]], work=work)
         zk[rows], ze[rows] = full.gated, full.uniform
-        del full
+        del full  # no view of a buffer outlives its chunk, so a regrown buffer is not held twice
     return zk, forward_batch(params, CELL_IDS).gated[cells], ze

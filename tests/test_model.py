@@ -9,6 +9,7 @@ checks every field and every gradient of the matmul formulation, which works
 per distinct token.
 """
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -324,10 +325,10 @@ def test_scoring_chunks_are_as_wide_as_their_longest_note(params, vocab, monkeyp
     docs = notes_of_lengths([1, 7, 1, 7, 3])
     widths = []
 
-    def spy(p, ids):
+    def spy(p, ids, **kw):
         if ids.shape[1] > 2:  # the demographic view is always two columns
             widths.append(ids.shape[1])
-        return forward_batch(p, ids)
+        return forward_batch(p, ids, **kw)
 
     monkeypatch.setattr(model, "forward_batch", spy)
     pathway_scores_batch(params, *batch_inputs(docs, vocab, 12), batch_size=2)
@@ -338,10 +339,10 @@ def test_scoring_forwards_the_demographic_view_once_per_cell(params, vocab, monk
     docs = notes_of_lengths([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], seed=4)
     seen = []
 
-    def spy(p, ids):
+    def spy(p, ids, **kw):
         if ids.max() < len(RESERVED_TOKENS):  # the demographic view
             seen.append(np.array(ids))
-        return forward_batch(p, ids)
+        return forward_batch(p, ids, **kw)
 
     monkeypatch.setattr(model, "forward_batch", spy)
     pathway_scores_batch(params, *batch_inputs(docs, vocab, 8), batch_size=3)
@@ -489,6 +490,49 @@ def test_scoring_holds_one_chunk_at_a_time():
         full = forward_batch(p, ids[lo: lo + B])
         assert np.array_equal(zk[lo: lo + B], full.gated)
         assert np.array_equal(ze[lo: lo + B], full.uniform)
+
+
+def test_forward_batch_in_a_workspace_is_bitwise_the_same():
+    """Every field of a branch forwarded in a workspace equals the one
+    forwarded without, and a second, narrower call in the same workspace
+    writes its attention into the first call's memory."""
+    p = randomized(init_params(300, 8, seed=0), 35)
+    ids = random_rows(300, 35, shape=(24, 40))  # PAD tails, in two row blocks
+    ids[0] = np.arange(1, 41)
+    ids[9] = PAD_ID  # one all-PAD row
+    assert len(model._row_blocks(24, 40, p.hidden_dim)) > 1
+    work = {}
+    for rows, width in ((slice(None), 40), (slice(3, 20), 31)):
+        got = forward_batch(p, ids[rows, :width], work=work)
+        want = forward_batch(p, ids[rows, :width])
+        for name in [f.name for f in dataclasses.fields(BatchBranch)] + ["encoded"]:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if width == 40:
+            first = got.attention
+    assert got.attention.size < first.size and np.shares_memory(got.attention, first)
+
+
+def test_scoring_forwards_every_chunk_in_one_workspace(params, vocab, monkeypatch):
+    # rows of 12, 10, 8, 6 and 4 non-PAD ids: five chunks of falling width
+    docs = notes_of_lengths([10, 2, 8, 4, 6, 10, 2, 8, 4, 6], seed=5)
+    attention = []
+
+    def spy(p, ids, **kw):
+        br = forward_batch(p, ids, **kw)
+        if ids is not CELL_IDS:  # skip the demographic view
+            attention.append(br.attention)
+        return br
+
+    monkeypatch.setattr(model, "forward_batch", spy)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 14), batch_size=2)
+    assert [a.shape[2] for a in attention] == [12, 10, 8, 6, 4]
+    assert all(np.shares_memory(a, attention[0]) for a in attention[1:])
+
+
+def test_forward_batch_rejects_out_of_range_ids_in_a_workspace(params):
+    for bad in ([[3, params.vocab_size]], [[-1, 3]]):
+        with pytest.raises(IndexError):
+            forward_batch(params, np.array(bad), work={})
 
 
 def out_of_place_backward_batch(params, br, d_gated, d_uniform, grads):

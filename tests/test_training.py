@@ -177,10 +177,10 @@ def test_batch_loss_runs_the_demographic_branch_once_per_cell(tiny_world, monkey
     batch = docs[:16]
     forwarded, backpropagated = [], []
 
-    def forward_spy(p, ids):
+    def forward_spy(p, ids, **kw):
         if ids.max() < len(RESERVED_TOKENS):
             forwarded.append(np.array(ids))
-        return forward_batch(p, ids)
+        return forward_batch(p, ids, **kw)
 
     def backward_spy(p, br, d_gated, d_uniform, grads):
         if br.token_ids.max() < len(RESERVED_TOKENS):
@@ -285,10 +285,10 @@ def test_train_cuts_each_batch_to_its_longest_note(tiny_world, monkeypatch):
     full_rows = batch_inputs(mixed, vocab, 8)[0]
     forwarded = []
 
-    def forward_spy(p, ids):
+    def forward_spy(p, ids, **kw):
         if ids is not CELL_IDS:  # skip the demographic view
             forwarded.append(np.array(ids))
-        return forward_batch(p, ids)
+        return forward_batch(p, ids, **kw)
 
     monkeypatch.setattr(model, "forward_batch", forward_spy)
     cfg = TrainConfig(epochs=2, batch_size=3)
