@@ -17,7 +17,6 @@ from .corpus import (
     load_jsonl,
     save_jsonl,
     synthetic_label_space,
-    tokenize,
 )
 from .errors import (
     ConfigError,

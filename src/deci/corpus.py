@@ -10,7 +10,6 @@ import json
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +135,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self._id_to_token)
 
-    def id(self, token: str) -> int:
-        """Id of token, or UNK's id when the token is unknown."""
-        return self._token_to_id.get(token, UNK_ID)
-
     def to_list(self) -> list[str]:
         return list(self._id_to_token)
 
@@ -148,11 +143,6 @@ class Vocabulary:
         if tuple(tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValidationError("vocabulary list does not start with the reserved tokens")
         return cls(tokens[len(RESERVED_TOKENS):])
-
-
-def tokenize(text: str, vocab: Vocabulary) -> list[int]:
-    """Lowercased alphanumeric tokens -> ids, UNK for out-of-vocabulary."""
-    return list(map(vocab._token_to_id.get, words(text), repeat(UNK_ID)))
 
 
 @dataclass

@@ -176,6 +176,20 @@ def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray | None:
     return work[name][:size].reshape(shape)
 
 
+def _sum_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """np.add.at(np.zeros((n, width)), index, rows), bitwise: np.bincount sums each cell
+    in input order from +0.0. The flat cell index covers a block of columns, one or
+    more and _GATHER_FLOATS cells at most, and is reused by blocks of its width."""
+    out, cell = np.empty((n, rows.shape[1])), np.empty((0, 0), np.int64)
+    for cols in _row_blocks(rows.shape[1], max(1, index.size), 1):
+        block = rows[:, cols]
+        w = block.shape[1]
+        if cell.shape[1] != w:
+            cell = index[:, None] * w + np.arange(w)
+        out[:, cols] = np.bincount(cell.ravel(), block.ravel(), n * w).reshape(n, w)
+    return out
+
+
 def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = None) -> BatchBranch:
     """Encode a batch of token-id rows (B, N) through one branch.
 
@@ -247,8 +261,8 @@ def backward_batch(
     d_gated and d_uniform are (B, L) gradients of the loss with respect to
     this branch's gated and uniform mixtures. Every contraction is a matmul:
     2-D over the (B*L) or (U) rows, or batched over B or over the labels.
-    The encoder gradient is summed per distinct token with np.add.at first,
-    so its products run over U rows, not B*N positions.
+    The encoder gradient is first summed per distinct token, in position order
+    as np.add.at sums, so its products run over U rows, not B*N positions.
     """
     L, F = params.n_labels, params.n_experts
     d_h = params.hidden_dim
@@ -279,8 +293,8 @@ def backward_batch(
     for rows in _row_blocks(*dU.shape):
         dU[rows] += dalog[rows].transpose(0, 2, 1) @ params.label_queries
         dU[rows] *= tanh_grad[br.where[rows]]
-    dU_tok = np.zeros((br.tokens.size, d_h))
-    np.add.at(dU_tok, br.where.ravel(), dU.reshape(-1, d_h))
+    del dalog, dH, tanh_grad  # freed before the per-token sum builds its cell index
+    dU_tok = _sum_rows(br.where.ravel(), dU.reshape(-1, d_h), br.tokens.size)
     grads.enc_proj += br.embedded.T @ dU_tok
     grads.enc_bias += dU_tok.sum(axis=0)
     grads.embedding[br.tokens] += dU_tok @ params.enc_proj.T  # exact: tokens are distinct
@@ -313,11 +327,11 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     chunk's full view is only as wide as its first row. The stable order keeps
     input order among equal lengths, so where every row fills the window the
     chunks are consecutive input rows. Every chunk is forwarded in one
-    workspace (forward_batch's work): the first, widest chunk sizes most of
-    its buffers and later chunks use views of them, so one chunk's intermediates
-    are held at a time and their pages are not returned to the system and
-    faulted in again between chunks. The demographic view is forwarded once,
-    on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
+    workspace (forward_batch's work), so one chunk's intermediates are held at a
+    time and their pages are not faulted in again. Its per-token buffers and its
+    gather are sized first for the chunk that needs most, and the first chunk
+    sizes the rest, so no buffer is regrown. The demographic view is forwarded
+    once, on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
     """
     if not batch_size >= 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
@@ -325,10 +339,14 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     # PAD only trails a row, so its non-PAD count is its width
     lengths = (ids != PAD_ID).sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
-    work = {}
-    for lo in range(0, len(ids), batch_size):
-        rows = order[lo: lo + batch_size]
+    chunks = [order[lo: lo + batch_size] for lo in range(0, len(ids), batch_size)]
+    _validate_ids(params, ids)  # before its ids are counted
+    U = max((np.count_nonzero(np.bincount(ids[rows, :lengths[rows[0]]].ravel())) for rows in chunks), default=0)
+    row = int(lengths.max(initial=0)) * params.hidden_dim  # floats per row of the widest chunk
+    work = {"embedded": np.empty(U * params.embed_dim), "enc_tok": np.empty(U * params.hidden_dim),
+            "logit_tok": np.empty(U * params.n_labels),
+            "gather": np.empty(min(max(_GATHER_FLOATS, row), min(batch_size, len(ids)) * row))}
+    for rows in chunks:
         full = forward_batch(params, ids[rows, :lengths[rows[0]]], work=work)
         zk[rows], ze[rows] = full.gated, full.uniform
-        del full  # no view of a buffer outlives its chunk, so a regrown buffer is not held twice
     return zk, forward_batch(params, CELL_IDS).gated[cells], ze

@@ -88,8 +88,7 @@ def batch_loss(params: M.ModelParams, cfg: TrainConfig, ids, cells, gold):
     grads = M.ModelParams(params.dims)
     M.backward_batch(params, full, gk, cfg.beta * ge, grads)
     if cfg.alpha != 0.0:
-        d_cells = np.zeros_like(demo.gated)
-        np.add.at(d_cells, cells, cfg.alpha * gd)  # each document's z_d is its cell's
+        d_cells = M._sum_rows(cells, cfg.alpha * gd, len(CELL_IDS))  # each document's z_d is its cell's
         M.backward_batch(params, demo, d_cells, np.zeros_like(d_cells), grads)
     return total, parts, grads
 
@@ -176,7 +175,7 @@ def train(train_docs, dev, params: M.ModelParams, vocab: Vocabulary,
     n = len(train_docs)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        sums = {"loss": 0.0, "loss_k": 0.0, "loss_d": 0.0, "loss_e": 0.0}
+        sums = {"train_loss": 0.0, "loss_k": 0.0, "loss_d": 0.0, "loss_e": 0.0}
         for start in range(0, n, cfg.batch_size):
             idx = order[start: start + cfg.batch_size]
             loss, parts, grads = batch_loss(params, cfg, ids[idx, :lengths[idx].max()], cells[idx], gold[idx])
@@ -184,20 +183,10 @@ def train(train_docs, dev, params: M.ModelParams, vocab: Vocabulary,
                 raise NumericalError(f"non-finite loss in epoch {epoch}, batch {start // cfg.batch_size}")
             clip_gradients(grads, cfg.grad_clip_norm)
             adam_step(params, grads, state, cfg)
-            sums["loss"] += loss * len(idx)
-            for k in parts:
-                sums[k] += parts[k] * len(idx)
-        record = {
-            "epoch": epoch,
-            "train_loss": sums["loss"] / n,
-            "loss_k": sums["loss_k"] / n,
-            "loss_d": sums["loss_d"] / n,
-            "loss_e": sums["loss_e"] / n,
-            "dev_metrics": None,
-        }
-        if dev is not None:
-            record["dev_metrics"] = dev_metrics(params, *dev)
-        log.append(record)
+            for k, v in (("train_loss", loss), *parts.items()):
+                sums[k] += v * len(idx)
+        log.append({"epoch": epoch, **{k: v / n for k, v in sums.items()},
+                    "dev_metrics": None if dev is None else dev_metrics(params, *dev)})
         if selected_epoch(log) == epoch:
             best_params = params.copy()
     return best_params, log

@@ -32,7 +32,6 @@ from deci.corpus import (
     load_jsonl,
     save_jsonl,
     synthetic_label_space,
-    tokenize,
     words,
 )
 from deci.errors import ConfigError, ParseError, ValidationError
@@ -49,37 +48,52 @@ def findall_words(text):
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
+def token_id(vocab, token):
+    """token's id in vocab, or UNK's id when the token is unknown."""
+    tokens = vocab.to_list()
+    return tokens.index(token) if token in tokens else UNK_ID
+
+
+def note_ids(text, vocab, max_len):
+    """The ids after the two demographic ids in the batch_inputs row of a note of text."""
+    return model_input(Document(id="d", text=text, age=30, gender="M"), vocab, max_len)[2:].tolist()
+
+
 def test_tokenize_lowercases_and_strips_punctuation(small_vocab):
-    ids = tokenize("Atrial Fibrillation.", small_vocab)
-    assert ids == [small_vocab.id("atrial"), small_vocab.id("fibrillation")]
+    ids = note_ids("Atrial Fibrillation.", small_vocab, max_len=4)
+    assert ids == [token_id(small_vocab, "atrial"), token_id(small_vocab, "fibrillation")]
     assert all(i != UNK_ID for i in ids)
 
 
 def test_tokenize_unknown_maps_to_unk(small_vocab):
-    assert tokenize("zzzunknownzzz", small_vocab) == [UNK_ID]
+    assert note_ids("zzzunknownzzz", small_vocab, max_len=3) == [UNK_ID]
 
 
 def test_tokenize_empty_and_padding(small_vocab):
-    # tokenize neither pads nor truncates; batch_inputs fits the window
-    assert tokenize("", small_vocab) == []
-    assert tokenize("aspirin", small_vocab) == [small_vocab.id("aspirin")]
-    assert len(tokenize("aspirin " * 300, small_vocab)) == 300
+    # batch_inputs PAD-extends a short note and cuts a long one to the window
+    assert note_ids("", small_vocab, max_len=4) == [PAD_ID, PAD_ID]
+    assert note_ids("aspirin", small_vocab, max_len=4) == [token_id(small_vocab, "aspirin"), PAD_ID]
+    assert note_ids("aspirin " * 300, small_vocab, max_len=302) == [token_id(small_vocab, "aspirin")] * 300
+    assert len(note_ids("aspirin " * 300, small_vocab, max_len=16)) == 14
 
 
 def test_tokenize_matches_per_word_lookup():
-    # tokenize looks ids up in one pass; it must equal one Vocabulary.id call
-    # per lowercased alphanumeric word, unknown words included
+    # batch_inputs looks ids up in one pass per note; each row must equal one
+    # vocabulary lookup per lowercased alphanumeric word, unknown words included
     rng = np.random.default_rng(5)
     known = [f"w{i}" for i in range(30)]
     vocab = Vocabulary(known)
     pool = known + ["zz1", "Unknown", "W3", "W12x", "ASPIRIN", "7"]
+    texts = []
     for _ in range(200):
         picked = rng.choice(pool, size=rng.integers(0, 25))
         seps = rng.choice([" ", ", ", ".", "-", "\t", "/", " (", ") "], size=len(picked))
-        text = "".join(w + s for w, s in zip(picked, seps))
-        want = [vocab.id(t) for t in findall_words(text)]
-        assert tokenize(text, vocab) == want
-        assert all(type(i) is int for i in tokenize(text, vocab))
+        texts.append("".join(w + s for w, s in zip(picked, seps)))
+    docs = [Document(id=str(i), text=text, age=30, gender="M") for i, text in enumerate(texts)]
+    rows = batch_inputs(docs, vocab, max_len=2 + 24)[0][:, 2:]
+    for row, text in zip(rows.tolist(), texts):
+        want = [token_id(vocab, t) for t in findall_words(text)]
+        assert row == want + [PAD_ID] * (24 - len(want))
 
 
 # Characters whose lowercasing or encoding could split a word differently:
@@ -116,8 +130,8 @@ def test_age_bucket_boundaries(small_vocab):
     rows, cells = batch_inputs(docs, small_vocab, max_len=4)
     np.testing.assert_array_equal(cells, [bucket * 2 + gender for _, bucket in buckets for gender in (0, 1)])
     np.testing.assert_array_equal(rows[:, :2], CELL_IDS[cells])
-    assert rows[0, :2].tolist() == [small_vocab.id("[AGE_0_17]"), small_vocab.id("[GENDER_M]")]
-    assert rows[-1, :2].tolist() == [small_vocab.id("[AGE_65_PLUS]"), small_vocab.id("[GENDER_F]")]
+    assert rows[0, :2].tolist() == [token_id(small_vocab, "[AGE_0_17]"), token_id(small_vocab, "[GENDER_M]")]
+    assert rows[-1, :2].tolist() == [token_id(small_vocab, "[AGE_65_PLUS]"), token_id(small_vocab, "[GENDER_F]")]
 
 
 def test_age_bucket_rejects_out_of_range():
@@ -132,7 +146,7 @@ def test_demographic_tokens_pairs(small_vocab):
     other = Vocabulary.from_documents([Document(id="d", text="zeta alpha", age=1, gender="M")])
     assert other.to_list() != small_vocab.to_list()
     for vocab in (small_vocab, other):
-        want = [[vocab.id(age), vocab.id(gender)] for age in AGE_TOKENS for gender in GENDER_TOKENS]
+        want = [[token_id(vocab, age), token_id(vocab, gender)] for age in AGE_TOKENS for gender in GENDER_TOKENS]
         assert CELL_IDS.tolist() == want
     assert CELL_IDS.shape == (8, 2) and CELL_IDS.dtype == np.int64
 
@@ -147,10 +161,10 @@ def test_build_model_input_full(small_vocab):
     doc = Document(id="d", text="atrial fibrillation", age=70, gender="F")
     row = model_input(doc, small_vocab, max_len=6)
     expected = [
-        small_vocab.id("[AGE_65_PLUS]"),
-        small_vocab.id("[GENDER_F]"),
-        small_vocab.id("atrial"),
-        small_vocab.id("fibrillation"),
+        token_id(small_vocab, "[AGE_65_PLUS]"),
+        token_id(small_vocab, "[GENDER_F]"),
+        token_id(small_vocab, "atrial"),
+        token_id(small_vocab, "fibrillation"),
         PAD_ID,
         PAD_ID,
     ]
@@ -162,8 +176,8 @@ def test_build_model_input_demographic_only(small_vocab):
     # a note without text gives the demographic tokens followed by PAD
     doc = Document(id="d", text="", age=70, gender="F")
     row = model_input(doc, small_vocab, max_len=6)
-    assert row[0] == small_vocab.id("[AGE_65_PLUS]")
-    assert row[1] == small_vocab.id("[GENDER_F]")
+    assert row[0] == token_id(small_vocab, "[AGE_65_PLUS]")
+    assert row[1] == token_id(small_vocab, "[GENDER_F]")
     assert row[2:].tolist() == [PAD_ID] * 4
 
 
@@ -171,9 +185,9 @@ def test_build_model_input_truncation_keeps_demographics(small_vocab):
     # the demographic prefix survives even when text overflows the window
     doc = Document(id="d", text="atrial fibrillation aspirin", age=20, gender="M")
     row = model_input(doc, small_vocab, max_len=3)
-    assert row[0] == small_vocab.id("[AGE_18_44]")
-    assert row[1] == small_vocab.id("[GENDER_M]")
-    assert row[2] == small_vocab.id("atrial")  # the note keeps its first tokens
+    assert row[0] == token_id(small_vocab, "[AGE_18_44]")
+    assert row[1] == token_id(small_vocab, "[GENDER_M]")
+    assert row[2] == token_id(small_vocab, "atrial")  # the note keeps its first tokens
     assert len(row) == 3
 
 
@@ -231,16 +245,15 @@ def test_label_space_file_round_trip(tmp_path):
 def test_vocabulary_reserves_prefix():
     v = Vocabulary()
     assert v.to_list() == list(RESERVED_TOKENS)
-    assert v.id("[PAD]") == PAD_ID == 0
-    assert v.id("[UNK]") == UNK_ID == 1
-    for tok in AGE_TOKENS + GENDER_TOKENS:
-        assert v.to_list()[v.id(tok)] == tok
+    assert token_id(v, "[PAD]") == PAD_ID == 0
+    assert token_id(v, "[UNK]") == UNK_ID == 1
+    assert v.size == len(RESERVED_TOKENS)
 
 
 def test_vocabulary_round_trip_and_duplicates():
     v = Vocabulary(["b", "a"])
-    assert v.to_list()[v.id("a")] == "a"
-    assert v.id("missing") == UNK_ID
+    # ids follow the given order after the reserved tokens; an unknown word is UNK
+    assert note_ids("a missing b", v, max_len=5) == [len(RESERVED_TOKENS) + 1, UNK_ID, len(RESERVED_TOKENS)]
     assert Vocabulary.from_list(v.to_list()).to_list() == v.to_list()
     with pytest.raises(ValidationError, match="token 'a'"):
         Vocabulary(["a", "a"])

@@ -10,6 +10,7 @@ per distinct token.
 """
 
 import dataclasses
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from deci import model
 from deci.corpus import (
-    AGE_TOKENS, CELL_IDS, GENDER_TOKENS, GENDERS, PAD_ID, RESERVED_TOKENS, Document, Vocabulary,
-    tokenize,
+    AGE_TOKENS, CELL_IDS, GENDER_TOKENS, GENDERS, PAD_ID, RESERVED_TOKENS, UNK_ID, Document,
+    Vocabulary,
 )
 from deci.errors import ConfigError, DimensionError
 from deci.evaluation import InferenceMode, final_scores_from_z
@@ -41,6 +42,12 @@ def vocab():
 @pytest.fixture
 def params(vocab):
     return init_params(vocab.size, n_labels=5, embed_dim=7, hidden_dim=6, n_experts=3, seed=1)
+
+
+def token_id(vocab, token):
+    """token's id in vocab, or UNK's id when the token is unknown."""
+    tokens = vocab.to_list()
+    return tokens.index(token) if token in tokens else UNK_ID
 
 
 def randomized(params, seed):
@@ -119,7 +126,7 @@ def test_encode_all_pad_is_zero(params):
 
 def test_encode_single_token_formula(params, vocab):
     p = randomized(params, 0)  # nonzero enc_bias so masking is actually load-bearing
-    tid = vocab.id("w3")
+    tid = token_id(vocab, "w3")
     out = branch(p, [tid, 0]).encoded[0]
     expected = np.tanh(p.embedding[tid] @ p.enc_proj + p.enc_bias)
     np.testing.assert_allclose(out[0], expected, atol=1e-15)
@@ -135,7 +142,7 @@ def test_encode_rejects_out_of_range_ids(params):
 
 def test_attention_single_token_copies_encoding(params, vocab):
     p = randomized(params, 1)
-    br = branch(p, [vocab.id("w5"), 0, 0])
+    br = branch(p, [token_id(vocab, "w5"), 0, 0])
     attn, label_repr = br.attention[0], br.label_repr[0]
     # every label attends only to the one visible position
     np.testing.assert_allclose(attn[:, 0], 1.0, atol=1e-15)
@@ -146,7 +153,7 @@ def test_attention_single_token_copies_encoding(params, vocab):
 
 def test_attention_identical_tokens_split_evenly(params, vocab):
     p = randomized(params, 2)
-    tid = vocab.id("w2")
+    tid = token_id(vocab, "w2")
     attn = branch(p, [tid, tid, 0]).attention[0]
     np.testing.assert_allclose(attn[:, :2], 0.5, atol=1e-12)
     np.testing.assert_array_equal(attn[:, 2], 0.0)
@@ -154,7 +161,7 @@ def test_attention_identical_tokens_split_evenly(params, vocab):
 
 def test_attention_rows_sum_to_one(params, vocab):
     p = randomized(params, 3)
-    attn = branch(p, [vocab.id("w0"), vocab.id("w7"), vocab.id("w9"), 0]).attention[0]
+    attn = branch(p, [token_id(vocab, "w0"), token_id(vocab, "w7"), token_id(vocab, "w9"), 0]).attention[0]
     np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_array_equal(attn[:, 3], 0.0)
 
@@ -584,16 +591,80 @@ def test_in_place_attention_backward_is_bitwise_the_formula():
     assert got.flat.any() and np.array_equal(got.flat, want.flat)
 
 
+def loop_sum_rows(index, rows, n):
+    """out[index[i]] += rows[i], one row at a time, into zeros."""
+    out = np.zeros((n, rows.shape[1]))
+    for i, row in zip(index, rows):
+        out[i] += row
+    return out
+
+
+@pytest.mark.parametrize("n_rows, width", [(0, 5), (7, 1), (50, 100), (3000, 100)])
+def test_sum_rows_is_bitwise_a_loop_of_row_additions(n_rows, width):
+    """The per-token gradient sum adds each output cell's rows in input order
+    from +0.0, so it is bitwise the loop and np.add.at, signed zeros included.
+    Outputs 34-39 are never indexed; output 33 sums rows of -0.0 only, which
+    give +0.0. 3,000 rows of 100 columns take several column blocks."""
+    rng = np.random.default_rng(n_rows)
+    index = rng.integers(0, 33, size=n_rows)  # ids repeat
+    rows = rng.normal(size=(n_rows, width))
+    rows[::3], index[::3] = -0.0, 33
+    blocks = -(-width // max(1, model._GATHER_FLOATS // max(1, n_rows)))
+    assert (n_rows, blocks) != (3000, 1)
+    got = model._sum_rows(index, rows, 40)
+    at = np.zeros((40, width))
+    np.add.at(at, index, rows)
+    assert got.shape == (40, width) and got.dtype == np.float64
+    assert got.tobytes() == loop_sum_rows(index, rows, 40).tobytes() == at.tobytes()
+
+
+def test_scoring_allocates_each_workspace_buffer_once(monkeypatch):
+    """No chunk regrows a buffer of the workspace: the per-token buffers are
+    sized for the chunk of most distinct tokens, and no more, and the gather
+    for the widest block. Here the first chunk is the widest, but a later one
+    has more distinct tokens and a later one a larger gather block."""
+    p = randomized(init_params(300, 8, seed=0), 36)
+    monkeypatch.setattr(model, "_GATHER_FLOATS", 10_000)  # gather blocks of 8,000, 9,000, 8,000 floats
+    rng = np.random.default_rng(36)
+    cells = rng.integers(0, len(CELL_IDS), size=12)
+    ids = np.full((12, 40), PAD_ID)
+    ids[:4] = rng.integers(10, 20, size=(4, 40))  # 10 distinct ids over 40 columns
+    ids[4:8, :30] = np.arange(20, 140).reshape(4, 30)  # 120 distinct
+    ids[8:, :20] = np.arange(140, 220).reshape(4, 20)  # 80 distinct
+    ids[:, :2] = CELL_IDS[cells]
+    buffers, real = {}, model._scratch
+
+    def spy(work, name, shape):
+        view = real(work, name, shape)
+        if work is not None:
+            buffers.setdefault(name, []).append(work[name])  # held, so no id is reused
+        return view
+
+    monkeypatch.setattr(model, "_scratch", spy)
+    zk, _, ze = pathway_scores_batch(p, ids, cells, batch_size=4)
+    assert sorted(buffers) == sorted(["embedded", "enc_tok", "logit_tok", "attention", "gather",
+                                      "label_repr", "scores", "gate", "mix"])
+    for name, seen in buffers.items():
+        assert len(seen) >= 3 and len({id(b) for b in seen}) == 1, name
+    most = max(np.unique(ids[lo: lo + 4, :width]).size for lo, width in zip((0, 4, 8), (40, 30, 20)))
+    assert buffers["embedded"][0].size == most * p.embed_dim
+    for lo in range(0, 12, 4):
+        full = forward_batch(p, ids[lo: lo + 4, :(40, 30, 20)[lo // 4]])
+        assert np.array_equal(zk[lo: lo + 4], full.gated) and np.array_equal(ze[lo: lo + 4], full.uniform)
+
+
 def demographic_tokens(age, gender, vocab):
     """The age-bucket and gender token ids of one document, looked up in vocab."""
     bucket = AGE_TOKENS[(age >= 18) + (age >= 45) + (age >= 65)]
-    return [vocab.id(bucket), vocab.id(GENDER_TOKENS[GENDERS.index(gender)])]
+    return [token_id(vocab, bucket), token_id(vocab, GENDER_TOKENS[GENDERS.index(gender)])]
 
 
 def parent_model_input(doc, vocab, max_len):
     """A batch_inputs row as first written, one document at a time: the
-    demographic ids, then tokenize's ids, cut and PAD-extended to the window."""
-    ids = (demographic_tokens(doc.age, doc.gender, vocab) + tokenize(doc.text, vocab))[:max_len]
+    demographic ids, then the id of each run of [a-z0-9] in the lowercased text,
+    cut and PAD-extended to the window."""
+    note = [token_id(vocab, w) for w in re.findall(r"[a-z0-9]+", doc.text.lower())]
+    ids = (demographic_tokens(doc.age, doc.gender, vocab) + note)[:max_len]
     return np.asarray(ids + [PAD_ID] * (max_len - len(ids)), dtype=np.int64)
 
 
@@ -634,9 +705,9 @@ def test_batch_inputs_layout(params, vocab):
     full, cells = batch_inputs(docs, vocab, max_len=4)
     assert full.shape == (1, 4)
     assert cells.tolist() == [3 * 2 + 1]  # the top age bucket, then F
-    assert full[0, 0] == CELL_IDS[cells[0], 0] == vocab.id("[AGE_65_PLUS]")
-    assert full[0, 1] == CELL_IDS[cells[0], 1] == vocab.id("[GENDER_F]")
-    assert full[0, 2] == vocab.id("w0")
+    assert full[0, 0] == CELL_IDS[cells[0], 0] == token_id(vocab, "[AGE_65_PLUS]")
+    assert full[0, 1] == CELL_IDS[cells[0], 1] == token_id(vocab, "[GENDER_F]")
+    assert full[0, 2] == token_id(vocab, "w0")
 
 
 def test_degenerate_document_all_pathways_finite(params, vocab):
@@ -789,7 +860,7 @@ def test_matmul_formulation_matches_einsum_reference():
 def test_embedding_gradient_matches_add_at(params, vocab, onto_nonzero):
     p = randomized(params, 24)
     rng = np.random.default_rng(25)
-    w3, w5, w7 = vocab.id("w3"), vocab.id("w5"), vocab.id("w7")
+    w3, w5, w7 = token_id(vocab, "w3"), token_id(vocab, "w5"), token_id(vocab, "w7")
     batches = [
         np.full((4, 5), w3),                               # one id fills every position
         np.array([[w3, w5, w7], [w7, w3, w5], [w5, w5, w3]]),  # ids repeat across rows

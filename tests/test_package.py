@@ -10,7 +10,7 @@ PUBLIC = [
     "final_scores_from_z", "forward_batch", "generate_synthetic", "init_params",
     "load_checkpoint", "load_jsonl", "model", "numerics", "pathway_scores_batch",
     "precision_at_k", "roc_auc", "run_ablation", "save_checkpoint", "save_jsonl", "sigmoid",
-    "synthetic_label_space", "tokenize", "train", "training",
+    "synthetic_label_space", "train", "training",
 ]
 
 
