@@ -28,6 +28,7 @@ from .corpus import AGE_BOUNDS, CELL_IDS, GENDERS, PAD_ID, UNK_ID, Vocabulary, w
 from .errors import ConfigError, DimensionError
 
 _GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
+_SCORE_ROWS = 256  # notes per scoring chunk
 
 @dataclass
 class ModelConfig:
@@ -163,12 +164,9 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray | None:
+def _scratch(work: dict, name: str, shape: tuple) -> np.ndarray:
     """A float64 view of the given shape into work[name], a flat buffer that
-    is regrown only when too small; None without a workspace, so that an
-    out=None numpy call allocates as it would with no out at all."""
-    if work is None:
-        return None
+    is regrown only when too small."""
     size = math.prod(shape)
     if name not in work or work[name].size < size:
         work.pop(name, None)  # freed before its successor is allocated, if no view is alive
@@ -193,10 +191,10 @@ def _sum_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = None) -> BatchBranch:
     """Encode a batch of token-id rows (B, N) through one branch.
 
-    With a workspace dict, every large array of the forward is a view of a
-    buffer held in work, so the branch is valid until the next call with the
-    same dict. The operations and their order are the same either way, so
-    every value is bitwise the same."""
+    Every large array of the forward is a view of a buffer held in work, the
+    caller's dict or a fresh one, so the branch is valid until the next call
+    with the same dict."""
+    work = {} if work is None else work
     ids = np.asarray(ids, dtype=np.int64)
     _validate_ids(params, ids)
     B, N = ids.shape
@@ -211,10 +209,9 @@ def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = N
     # the default "raise", np.take copies into a temporary before it writes out.
     embedded = np.take(params.embedding, tokens, axis=0,
                        out=_scratch(work, "embedded", (U, params.embed_dim)), mode="clip")
-    out = _scratch(work, "enc_tok", (U, d_h))  # in place with work, a new array per step without
-    enc_tok = np.matmul(embedded, params.enc_proj, out=out)
-    enc_tok = np.add(enc_tok, params.enc_bias, out=out)
-    enc_tok = np.tanh(enc_tok, out=out)
+    enc_tok = np.matmul(embedded, params.enc_proj, out=_scratch(work, "enc_tok", (U, d_h)))
+    enc_tok += params.enc_bias
+    np.tanh(enc_tok, out=enc_tok)
     logit_tok = np.matmul(params.label_queries, enc_tok.T, out=_scratch(work, "logit_tok", (L, U)))
     if U and tokens[0] == PAD_ID:  # PAD is the smallest id
         enc_tok[0] = 0.0
@@ -222,9 +219,9 @@ def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = N
 
     att = np.take(logit_tok, where, axis=1, out=_scratch(work, "attention", (L, B, N)), mode="clip")
     att = _softmax_last(att.transpose(1, 0, 2))  # (B, L, N)
-    label_repr = np.empty((B, L, d_h)) if work is None else _scratch(work, "label_repr", (B, L, d_h))
+    label_repr = _scratch(work, "label_repr", (B, L, d_h))
     for rows in _row_blocks(B, N, d_h):  # N >= 1 past the softmax
-        block = where[rows]  # a gathered block is a temporary, freed before the next
+        block = where[rows]
         np.matmul(att[rows], np.take(enc_tok, block, axis=0, mode="clip",
                                      out=_scratch(work, "gather", (*block.shape, d_h))),
                   out=label_repr[rows])
@@ -232,13 +229,12 @@ def forward_batch(params: ModelParams, ids: np.ndarray, *, work: dict | None = N
     # One (B, d_h) @ (d_h, F) product per label, written into a C-contiguous
     # (B, L, F) array, so that gated and uniform below reduce the same layout
     # and a uniform gate gives them bitwise equal.
-    scores = np.empty((B, L, F)) if work is None else _scratch(work, "scores", (B, L, F))
+    scores = _scratch(work, "scores", (B, L, F))
     np.matmul(label_repr.transpose(1, 0, 2), params.expert_w.transpose(1, 2, 0),
               out=scores.transpose(1, 0, 2))
     scores += params.expert_b.T
-    out = _scratch(work, "gate", (B, L, F))
-    gate = np.matmul(label_repr, params.gate_w, out=out)
-    gate = _softmax_last(np.add(gate, params.gate_bias, out=out))
+    gate = np.matmul(label_repr, params.gate_w, out=_scratch(work, "gate", (B, L, F)))
+    _softmax_last(np.add(gate, params.gate_bias, out=gate))
     mix = _scratch(work, "mix", (B, L, F))
     gated = np.multiply(gate, scores, out=mix).sum(axis=-1)
     uniform = np.multiply(scores, 1.0 / F, out=mix).sum(axis=-1)
@@ -319,11 +315,11 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
     return ids, cells
 
 
-def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
+def pathway_scores_batch(params, ids, cells):
     """(z_k, z_d, z_e) arrays of shape (n_docs, n_labels) for the (ids, cells)
     of batch_inputs.
 
-    Full rows are forwarded longest first, batch_size at a time, so each
+    Full rows are forwarded longest first, _SCORE_ROWS at a time, so each
     chunk's full view is only as wide as its first row. The stable order keeps
     input order among equal lengths, so where every row fills the window the
     chunks are consecutive input rows. Every chunk is forwarded in one
@@ -333,19 +329,17 @@ def pathway_scores_batch(params, ids, cells, batch_size: int = 256):
     sizes the rest, so no buffer is regrown. The demographic view is forwarded
     once, on CELL_IDS, so z_d is independent of the batch. Scores keep input order.
     """
-    if not batch_size >= 1:
-        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     zk, ze = np.empty((2, len(ids), params.n_labels))
     # PAD only trails a row, so its non-PAD count is its width
     lengths = (ids != PAD_ID).sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
-    chunks = [order[lo: lo + batch_size] for lo in range(0, len(ids), batch_size)]
+    chunks = [order[lo: lo + _SCORE_ROWS] for lo in range(0, len(ids), _SCORE_ROWS)]
     _validate_ids(params, ids)  # before its ids are counted
     U = max((np.count_nonzero(np.bincount(ids[rows, :lengths[rows[0]]].ravel())) for rows in chunks), default=0)
     row = int(lengths.max(initial=0)) * params.hidden_dim  # floats per row of the widest chunk
     work = {"embedded": np.empty(U * params.embed_dim), "enc_tok": np.empty(U * params.hidden_dim),
             "logit_tok": np.empty(U * params.n_labels),
-            "gather": np.empty(min(max(_GATHER_FLOATS, row), min(batch_size, len(ids)) * row))}
+            "gather": np.empty(min(max(_GATHER_FLOATS, row), min(_SCORE_ROWS, len(ids)) * row))}
     for rows in chunks:
         full = forward_batch(params, ids[rows, :lengths[rows[0]]], work=work)
         zk[rows], ze[rows] = full.gated, full.uniform

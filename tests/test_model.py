@@ -301,7 +301,7 @@ def test_forward_combines_pathways(params, vocab):
     assert (ze != demo.uniform[cells]).any()
 
 
-def test_forward_batch_matches_per_document(params, vocab):
+def test_forward_batch_matches_per_document(params, vocab, monkeypatch):
     p = randomized(params, 21)
     docs = [
         Document(id="a", text="w0 w1 w2 w3 w4 w5 w6 w7 w8 w9", age=70, gender="F"),
@@ -309,7 +309,8 @@ def test_forward_batch_matches_per_document(params, vocab):
         Document(id="c", text="", age=40, gender="F"),
         Document(id="d", text="w5 w5 w5", age=64, gender="M"),
     ]
-    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 6), batch_size=3)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 3)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 6))
     assert zk.shape == (4, 5)
     for i, doc in enumerate(docs):
         row = parent_model_input(doc, vocab, 6)
@@ -338,7 +339,8 @@ def test_scoring_chunks_are_as_wide_as_their_longest_note(params, vocab, monkeyp
         return forward_batch(p, ids, **kw)
 
     monkeypatch.setattr(model, "forward_batch", spy)
-    pathway_scores_batch(params, *batch_inputs(docs, vocab, 12), batch_size=2)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 2)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 12))
     assert widths == [9, 5, 3]  # input order would forward widths [9, 9, 5]
 
 
@@ -352,7 +354,8 @@ def test_scoring_forwards_the_demographic_view_once_per_cell(params, vocab, monk
         return forward_batch(p, ids, **kw)
 
     monkeypatch.setattr(model, "forward_batch", spy)
-    pathway_scores_batch(params, *batch_inputs(docs, vocab, 8), batch_size=3)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 3)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 8))
     assert len(seen) == 1  # one demographic forward per call
     np.testing.assert_array_equal(seen[0], CELL_IDS)  # each of the eight cells exactly once
 
@@ -369,12 +372,13 @@ def test_zd_of_a_note_is_the_same_alone_and_among_other_cells(params, vocab):
     assert alone.tobytes() == among.tobytes()
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 256])
-def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 256])
+def test_longest_first_scores_return_in_input_order(params, vocab, monkeypatch, chunk_rows):
+    monkeypatch.setattr(model, "_SCORE_ROWS", chunk_rows)
     p = randomized(params, 24)
     # ties, an empty note, and notes truncated by the window
     docs = notes_of_lengths([4, 0, 9, 4, 2, 7, 4, 12, 1, 0, 6], seed=1)
-    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 9), batch_size=batch_size)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 9))
     for i, doc in enumerate(docs):
         row = parent_model_input(doc, vocab, 9)
         gated, uniform = reference_pathways(p, row)
@@ -383,29 +387,23 @@ def test_longest_first_scores_return_in_input_order(params, vocab, batch_size):
         np.testing.assert_allclose(ze[i], uniform, atol=1e-12)
     perm = np.random.default_rng(2).permutation(len(docs))
     shuffled = batch_inputs([docs[i] for i in perm], vocab, 9)
-    for got, want in zip(pathway_scores_batch(p, *shuffled, batch_size), (zk, zd, ze)):
+    for got, want in zip(pathway_scores_batch(p, *shuffled), (zk, zd, ze)):
         np.testing.assert_allclose(got, want[perm], rtol=0, atol=1e-12)
 
 
-def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab):
+def test_full_window_notes_score_in_consecutive_input_chunks(params, vocab, monkeypatch):
     # every note fills the window: the stable order is the identity, so each
     # row is bitwise what forward_batch gives on consecutive input-order chunks
     p = randomized(params, 25)
     docs = notes_of_lengths([9, 6, 14, 6, 8, 11, 7], seed=3)
-    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 8), batch_size=3)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 3)
+    zk, zd, ze = pathway_scores_batch(p, *batch_inputs(docs, vocab, 8))
     for lo in range(0, len(docs), 3):
         full_ids, cells = batch_inputs(docs[lo: lo + 3], vocab, 8)
         full = forward_batch(p, full_ids)
         np.testing.assert_array_equal(zk[lo: lo + 3], full.gated)
         np.testing.assert_array_equal(zd[lo: lo + 3], forward_batch(p, CELL_IDS).gated[cells])
         np.testing.assert_array_equal(ze[lo: lo + 3], full.uniform)
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_scoring_rejects_a_batch_size_below_one(params, vocab, batch_size):
-    docs = notes_of_lengths([3] * 16)
-    with pytest.raises(ConfigError, match="batch_size"):
-        pathway_scores_batch(params, *batch_inputs(docs, vocab, 8), batch_size=batch_size)
 
 
 def test_forward_batch_attention_rows(params, vocab):
@@ -478,7 +476,7 @@ def test_forward_batch_never_gathers_every_position_at_once():
     np.testing.assert_array_equal(br.where, where.reshape(ids.shape))
 
 
-def test_scoring_holds_one_chunk_at_a_time():
+def test_scoring_holds_one_chunk_at_a_time(monkeypatch):
     """pathway_scores_batch lets go of each chunk's branch before it forwards
     the next, so scoring three chunks peaks below 1.5 times scoring one (two
     chunks' branches alive at once would take it to ~1.9), and every row is
@@ -486,12 +484,13 @@ def test_scoring_holds_one_chunk_at_a_time():
     p = randomized(init_params(300, 20, seed=0), 33)
     rng = np.random.default_rng(33)
     B = 64
+    monkeypatch.setattr(model, "_SCORE_ROWS", B)
     cells = rng.integers(0, len(CELL_IDS), size=3 * B)
     ids = rng.integers(len(RESERVED_TOKENS), 300, size=(3 * B, 96))  # no PAD: chunks in input order
     ids[:, :2] = CELL_IDS[cells]
-    one = traced_peak(pathway_scores_batch, p, ids[:B], cells[:B], B)
-    assert traced_peak(pathway_scores_batch, p, ids, cells, B) < 1.5 * one
-    zk, zd, ze = pathway_scores_batch(p, ids, cells, B)
+    one = traced_peak(pathway_scores_batch, p, ids[:B], cells[:B])
+    assert traced_peak(pathway_scores_batch, p, ids, cells) < 1.5 * one
+    zk, zd, ze = pathway_scores_batch(p, ids, cells)
     assert np.array_equal(zd, forward_batch(p, CELL_IDS).gated[cells])
     for lo in range(0, 3 * B, B):
         full = forward_batch(p, ids[lo: lo + B])
@@ -500,22 +499,24 @@ def test_scoring_holds_one_chunk_at_a_time():
 
 
 def test_forward_batch_in_a_workspace_is_bitwise_the_same():
-    """Every field of a branch forwarded in a workspace equals the one
-    forwarded without, and a second, narrower call in the same workspace
-    writes its attention into the first call's memory."""
+    """A narrower branch forwarded in a workspace that a wider call has
+    filled equals, field by field, one forwarded in a fresh workspace, so no
+    stale buffer contents reach a branch; NaN in every buffer would show any
+    that did. The narrower call writes its attention into the first call's
+    memory."""
     p = randomized(init_params(300, 8, seed=0), 35)
     ids = random_rows(300, 35, shape=(24, 40))  # PAD tails, in two row blocks
     ids[0] = np.arange(1, 41)
     ids[9] = PAD_ID  # one all-PAD row
     assert len(model._row_blocks(24, 40, p.hidden_dim)) > 1
     work = {}
-    for rows, width in ((slice(None), 40), (slice(3, 20), 31)):
-        got = forward_batch(p, ids[rows, :width], work=work)
-        want = forward_batch(p, ids[rows, :width])
-        for name in [f.name for f in dataclasses.fields(BatchBranch)] + ["encoded"]:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        if width == 40:
-            first = got.attention
+    first = forward_batch(p, ids, work=work).attention
+    for buffer in work.values():
+        buffer.fill(np.nan)
+    got = forward_batch(p, ids[3:20, :31], work=work)
+    want = forward_batch(p, ids[3:20, :31])
+    for name in [f.name for f in dataclasses.fields(BatchBranch)] + ["encoded"]:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.attention.size < first.size and np.shares_memory(got.attention, first)
 
 
@@ -531,15 +532,10 @@ def test_scoring_forwards_every_chunk_in_one_workspace(params, vocab, monkeypatc
         return br
 
     monkeypatch.setattr(model, "forward_batch", spy)
-    pathway_scores_batch(params, *batch_inputs(docs, vocab, 14), batch_size=2)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 2)
+    pathway_scores_batch(params, *batch_inputs(docs, vocab, 14))
     assert [a.shape[2] for a in attention] == [12, 10, 8, 6, 4]
     assert all(np.shares_memory(a, attention[0]) for a in attention[1:])
-
-
-def test_forward_batch_rejects_out_of_range_ids_in_a_workspace(params):
-    for bad in ([[3, params.vocab_size]], [[-1, 3]]):
-        with pytest.raises(IndexError):
-            forward_batch(params, np.array(bad), work={})
 
 
 def out_of_place_backward_batch(params, br, d_gated, d_uniform, grads):
@@ -632,16 +628,19 @@ def test_scoring_allocates_each_workspace_buffer_once(monkeypatch):
     ids[4:8, :30] = np.arange(20, 140).reshape(4, 30)  # 120 distinct
     ids[8:, :20] = np.arange(140, 220).reshape(4, 20)  # 80 distinct
     ids[:, :2] = CELL_IDS[cells]
-    buffers, real = {}, model._scratch
+    buffers, works, real = {}, [], model._scratch
 
     def spy(work, name, shape):
         view = real(work, name, shape)
-        if work is not None:
+        if not works:
+            works.append(work)
+        if work is works[0]:  # the scoring workspace: chunks are forwarded before CELL_IDS
             buffers.setdefault(name, []).append(work[name])  # held, so no id is reused
         return view
 
     monkeypatch.setattr(model, "_scratch", spy)
-    zk, _, ze = pathway_scores_batch(p, ids, cells, batch_size=4)
+    monkeypatch.setattr(model, "_SCORE_ROWS", 4)
+    zk, _, ze = pathway_scores_batch(p, ids, cells)
     assert sorted(buffers) == sorted(["embedded", "enc_tok", "logit_tok", "attention", "gather",
                                       "label_repr", "scores", "gate", "mix"])
     for name, seen in buffers.items():
