@@ -22,8 +22,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
-    LabelSpace, SyntheticConfig, Vocabulary, generate_synthetic, load_jsonl,
-    save_jsonl, synthetic_label_space,
+    LabelSpace, SyntheticConfig, Vocabulary, confound_predicate, generate_synthetic,
+    load_jsonl, save_jsonl, synthetic_label_space,
 )
 from .errors import (
     ConfigError, DimensionError, EvaluationError, FormatError, NumericalError,
@@ -248,27 +248,27 @@ def _mode_from(cfg: dict) -> InferenceMode:
         raise ConfigError(f"unknown eval mode {cfg['eval.mode']!r}; expected one of: {valid}") from None
 
 
-def _confounded_label_name(cfg: dict, label_space: LabelSpace) -> str:
+def _confound(cfg: dict, label_space: LabelSpace):
     idx = cfg["data.confounded_label"]
     if not 0 <= idx < len(label_space):
         raise ConfigError(f"data.confounded_label must index one of the checkpoint's "
                           f"{len(label_space)} labels, got {idx}")
-    return label_space.labels[idx]
+    return label_space.labels[idx], confound_predicate(cfg["data.confound_attribute"])
 
 
 def cmd_eval(cfg: dict, args) -> int:
     ckpt = load_checkpoint(Path(cfg["run.dir"]) / "checkpoint.deci")
-    confounded_label = _confounded_label_name(cfg, ckpt.label_space)
+    confounded_label, predicate = _confound(cfg, ckpt.label_space)  # before any note is read
     data_dir = Path(cfg["data.dir"])
     labels_path = data_dir / "labels.txt"
     if labels_path.exists() and LabelSpace.from_file(labels_path) != ckpt.label_space:
         raise ValidationError(f"label space in {labels_path} does not match the checkpoint")
     docs = load_jsonl(data_dir / "test.jsonl", ckpt.label_space)
     modes = tuple(InferenceMode) if args.ablate else (_mode_from(cfg),)
-    reports = run_ablation(docs, ckpt.params, ckpt.vocab, ckpt.label_space,
-                           ks=tuple(cfg["eval.ks"]), max_len=ckpt.max_len,
-                           confounded_label=confounded_label,
-                           confound_attribute=cfg["data.confound_attribute"], modes=modes)
+    reports = run_ablation(ckpt.params, *batch_inputs(docs, ckpt.vocab, ckpt.max_len),
+                           ckpt.label_space.multi_hot_rows(docs), ckpt.label_space,
+                           ks=tuple(cfg["eval.ks"]), confounded_label=confounded_label,
+                           in_group_a=[predicate(d.age, d.gender) for d in docs], modes=modes)
     if args.ablate:
         _print_ablation_table(reports)
         payload = {"command": "eval", "ablation": {m: asdict(r) for m, r in reports.items()}}

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import model as M
-from .corpus import LabelSpace, SyntheticConfig, Vocabulary, confound_predicate
+from .corpus import LabelSpace
 from .errors import ConfigError, DimensionError, EvaluationError
 from .numerics import sigmoid
 
@@ -206,32 +206,32 @@ def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -
     )
 
 
-def run_ablation(docs, params: M.ModelParams, vocab: Vocabulary, label_space: LabelSpace,
-                 ks: tuple[int, ...] = (5,), max_len: int = M.ModelConfig.max_len,
-                 confounded_label: str | None = None,
-                 confound_attribute: str = SyntheticConfig.confound_attribute,
+def run_ablation(params: M.ModelParams, ids, cells, gold, label_space: LabelSpace,
+                 ks: tuple[int, ...] = (5,), confounded_label: str | None = None, in_group_a=None,
                  modes: tuple[InferenceMode, ...] = tuple(InferenceMode)) -> dict[str, EvalReport]:
-    """One report per mode in modes, keyed by mode value, from a single forward pass.
+    """One report per mode in modes, keyed by mode value, from one forward pass.
 
-    Labels with a single class in the gold data are skipped by macro AUC and
-    listed in the report; micro AUC pools every (document, label) cell. With
-    a confounded_label, each report also carries the FPR disparity between
-    documents satisfying confound_attribute and the rest. Results do not
-    depend on document order.
+    ids and cells are model.batch_inputs' arrays and gold their label matrix.
+    Labels with a single class in gold are skipped by macro AUC and listed in
+    the report; micro AUC pools every (document, label) cell. With a
+    confounded_label, each report also carries the FPR disparity between rows
+    where in_group_a is true and the rest. Results do not depend on row order.
     """
-    if not docs:
+    n = len(ids)
+    if not n:
         raise EvaluationError("cannot evaluate an empty document collection")
-    for k in ks:  # before any scoring, so a bad k or label costs nothing
+    for k in ks:  # before any scoring, so a bad k, shape or label costs nothing
         if not 1 <= k <= len(label_space):
             raise ConfigError(f"k must be in [1, {len(label_space)}], got {k}")
+    if len(cells) != n or np.shape(gold) != (n, len(label_space)):
+        raise DimensionError(f"{n} id rows need {n} cells and gold of shape {(n, len(label_space))}, "
+                             f"got {len(cells)} cells and gold of shape {np.shape(gold)}")
     if confounded_label is not None:
         label_space.index(confounded_label)
-    z_k, z_d, z_e = M.pathway_scores_batch(params, *M.batch_inputs(docs, vocab, max_len))
-    gold = label_space.multi_hot_rows(docs)
-    in_group_a = None
-    if confounded_label is not None:
-        predicate = confound_predicate(confound_attribute)
-        in_group_a = np.array([predicate(d.age, d.gender) for d in docs], dtype=bool)
+        in_group_a = np.asarray(in_group_a, dtype=bool)
+        if in_group_a.shape != (n,):
+            raise DimensionError(f"in_group_a must have shape ({n},), got {in_group_a.shape}")
+    z_k, z_d, z_e = M.pathway_scores_batch(params, ids, cells)
     return {mode.value: _report(final_scores_from_z(z_k, z_d, z_e, mode), gold, label_space,
                                 mode, ks, confounded_label, in_group_a)
             for mode in modes}

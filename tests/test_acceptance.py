@@ -18,7 +18,10 @@ import numpy as np
 import pytest
 
 from deci.cli import build_config, main, section
-from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
+from deci.corpus import (
+    Document, SyntheticConfig, Vocabulary, confound_predicate, generate_synthetic,
+    synthetic_label_space,
+)
 from deci.evaluation import InferenceMode, f1_scores, final_scores_from_z, precision_at_k, roc_auc, run_ablation
 from deci.model import batch_inputs, forward_batch, init_params, pathway_scores_batch
 from deci.numerics import sigmoid
@@ -248,8 +251,10 @@ def test_criterion_5_debias_experiment():
         best, _ = train(train_docs, dev, params, vocab, labels, section(cfg, TrainConfig),
                         max_len=cfg["model.max_len"])
         conf = labels.labels[scfg.confounded_label]
-        table = run_ablation(test_docs, best, vocab, labels, max_len=cfg["model.max_len"],
-                             confounded_label=conf)
+        group_a = confound_predicate(scfg.confound_attribute)
+        table = run_ablation(best, *batch_inputs(test_docs, vocab, cfg["model.max_len"]),
+                             labels.multi_hot_rows(test_docs), labels, confounded_label=conf,
+                             in_group_a=[group_a(d.age, d.gender) for d in test_docs])
         assert set(table) == {m.value for m in InferenceMode}
         li = labels.index(conf)
         rows.append({

@@ -242,6 +242,43 @@ def test_eval_rejects_a_confounded_label_outside_the_label_space(
     assert not out.exists()
 
 
+def test_eval_rejects_a_bad_confound_attribute_before_scoring(pipeline, tmp_path, capsys, monkeypatch):
+    # a bad predicate is a configuration error: no note is tokenized or scored first
+    data, run = pipeline
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("documents were read before the confound attribute was checked")
+
+    monkeypatch.setattr(cli, "batch_inputs", no_work)
+    monkeypatch.setattr(cli, "run_ablation", no_work)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--ablate", "--data.confound_attribute", "bogus", "--data.dir", str(data),
+                 "--run.dir", str(run), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unsupported confound attribute 'bogus'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_eval_tokenizes_the_test_split_once(pipeline, monkeypatch):
+    data, run = pipeline
+    tokenized = {"cli": [], "model": []}
+
+    def spy(where):
+        def tokenize(docs, *args):
+            tokenized[where].append(len(docs))
+            return batch_inputs(docs, *args)
+        return tokenize
+
+    monkeypatch.setattr(cli, "batch_inputs", spy("cli"))
+    monkeypatch.setattr(model, "batch_inputs", spy("model"))
+    assert main(["eval", "--ablate", "--data.dir", str(data), "--run.dir", str(run),
+                 "--out", os.devnull]) == 0
+    # the 30 test notes, once, by eval itself: run_ablation takes the arrays
+    assert tokenized == {"cli": [30], "model": []}
+
+
 def test_eval_rejects_missing_checkpoint(pipeline, tmp_path):
     data, _ = pipeline
     assert main(["eval", "--data.dir", str(data), "--run.dir", str(tmp_path)]) == 2

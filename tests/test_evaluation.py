@@ -6,7 +6,7 @@ against its exact reduction identities.
 """
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deci import evaluation
-from deci.corpus import Document, SyntheticConfig, Vocabulary, generate_synthetic, synthetic_label_space
+from deci.corpus import (
+    Document, SyntheticConfig, Vocabulary, confound_predicate, generate_synthetic,
+    synthetic_label_space,
+)
 from deci.errors import ConfigError, DimensionError, EvaluationError, ValidationError
 from deci.evaluation import (
     InferenceMode,
@@ -24,7 +27,7 @@ from deci.evaluation import (
     roc_auc,
     run_ablation,
 )
-from deci.model import ModelConfig, init_params
+from deci.model import batch_inputs, init_params
 from param_arrays import named_arrays, with_arrays
 
 # mpmath: sigmoid(2) and sigmoid(sigmoid(2) - sigmoid(0))
@@ -265,10 +268,23 @@ def eval_world():
     return test_docs, params, vocab, labels
 
 
+def split_arrays(docs, vocab, labels):
+    """(ids, cells, gold, in_group_a) of docs at window 10, grouped by the
+    default confound attribute, as eval builds them."""
+    predicate = confound_predicate(SyntheticConfig.confound_attribute)
+    return (*batch_inputs(docs, vocab, 10), labels.multi_hot_rows(docs),
+            np.array([predicate(d.age, d.gender) for d in docs], dtype=bool))
+
+
+def ablate(docs, params, vocab, labels, **kwargs):
+    ids, cells, gold, in_group_a = split_arrays(docs, vocab, labels)
+    return run_ablation(params, ids, cells, gold, labels, in_group_a=in_group_a, **kwargs)
+
+
 def test_evaluate_report_contents(eval_world):
     docs, params, vocab, labels = eval_world
-    report = run_ablation(docs, params, vocab, labels, ks=(5, 1, 5), max_len=10,
-                          confounded_label="C000", modes=(InferenceMode.DECI,))["deci"]
+    report = ablate(docs, params, vocab, labels, ks=(5, 1, 5),
+                    confounded_label="C000", modes=(InferenceMode.DECI,))["deci"]
     assert report.mode == "deci"
     assert report.n_docs == len(docs)
     assert list(report.p_at_k) == [1, 5]  # in sorted order, each k once
@@ -279,22 +295,28 @@ def test_evaluate_report_contents(eval_world):
     assert list(d["p_at_k"]) == ["1", "5"]
 
 
-def test_evaluate_is_document_order_invariant(eval_world):
+def test_evaluate_is_row_order_invariant(eval_world):
     docs, params, vocab, labels = eval_world
-    a = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000")["deci"]
-    b = run_ablation(list(reversed(docs)), params, vocab, labels, max_len=10, confounded_label="C000")["deci"]
-    assert a.micro_f1 == b.micro_f1
-    assert a.macro_f1 == b.macro_f1
-    assert a.micro_auc == b.micro_auc
-    assert a.macro_auc == b.macro_auc
-    assert a.p_at_k == b.p_at_k
-    assert a.disparity.gap == b.disparity.gap
+    ids, cells, gold, in_group_a = split_arrays(docs, vocab, labels)
+    a = run_ablation(params, ids, cells, gold, labels, confounded_label="C000", in_group_a=in_group_a)
+    perm = np.random.default_rng(3).permutation(len(ids))
+    b = run_ablation(params, ids[perm], cells[perm], gold[perm], labels, confounded_label="C000",
+                     in_group_a=in_group_a[perm])
+    for mode, report in a.items():
+        other = b[mode]
+        assert report.micro_f1 == other.micro_f1
+        assert report.macro_f1 == other.macro_f1
+        assert report.per_label_f1 == other.per_label_f1
+        assert report.micro_auc == other.micro_auc
+        assert report.macro_auc == other.macro_auc
+        assert report.p_at_k == other.p_at_k
+        assert report.disparity == other.disparity
 
 
 def test_evaluate_rejects_empty(eval_world):
     _, params, vocab, labels = eval_world
-    with pytest.raises(EvaluationError):
-        run_ablation([], params, vocab, labels, max_len=10)
+    with pytest.raises(EvaluationError, match="empty"):
+        ablate([], params, vocab, labels)
 
 
 def test_evaluate_all_degenerate_raises(eval_world):
@@ -303,12 +325,12 @@ def test_evaluate_all_degenerate_raises(eval_world):
     docs = [Document(id=f"d{i}", text="k000w0", age=30, gender="M", codes=("C000",))
             for i in range(4)]
     with pytest.raises(EvaluationError, match="degenerate"):
-        run_ablation(docs, params, vocab, labels, max_len=10)
+        ablate(docs, params, vocab, labels)
 
 
 def test_run_ablation_covers_all_modes(eval_world):
     docs, params, vocab, labels = eval_world
-    table = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000")
+    table = ablate(docs, params, vocab, labels, confounded_label="C000")
     assert set(table) == {"deci", "naive", "knowledge-only", "wo-zd", "wo-ze"}
     for mode, report in table.items():
         assert report.mode == mode
@@ -317,22 +339,29 @@ def test_run_ablation_covers_all_modes(eval_world):
     assert table["deci"].micro_f1 == table["knowledge-only"].micro_f1
     assert table["deci"].per_label_f1 == table["knowledge-only"].per_label_f1
     # single forward pass: ablation equals standalone evaluation per mode
-    solo = run_ablation(docs, params, vocab, labels, max_len=10,
-                        confounded_label="C000", modes=(InferenceMode.NAIVE,))["naive"]
+    solo = ablate(docs, params, vocab, labels, confounded_label="C000",
+                  modes=(InferenceMode.NAIVE,))["naive"]
     assert solo == table["naive"]
 
 
-def test_max_len_defaults_to_the_model_config_window(eval_world):
+@pytest.mark.parametrize("cut", ["cells", "gold rows", "gold columns", "in_group_a", "no in_group_a"])
+def test_run_ablation_rejects_mismatched_shapes_before_scoring(eval_world, monkeypatch, cut):
     docs, params, vocab, labels = eval_world
-    # 24 words a note, so a window of 16 truncates every one of them
-    long_docs = [replace(d, text=" ".join([d.text] * 3)) for d in docs]
-    assert min(len(d.text.split()) for d in long_docs) > ModelConfig.max_len
-    window = ModelConfig.max_len
-    table = run_ablation(long_docs, params, vocab, labels, confounded_label="C000")
-    want = run_ablation(long_docs, params, vocab, labels, max_len=window, confounded_label="C000")
-    assert table == want
-    wider = run_ablation(long_docs, params, vocab, labels, max_len=32, confounded_label="C000")
-    assert wider["deci"] != table["deci"]
+    ids, cells, gold, in_group_a = split_arrays(docs, vocab, labels)
+    cells, gold, in_group_a = {
+        "cells": (cells[:-1], gold, in_group_a),
+        "gold rows": (cells, gold[:-1], in_group_a),
+        "gold columns": (cells, gold[:, :-1], in_group_a),
+        "in_group_a": (cells, gold, in_group_a[:-1]),
+        "no in_group_a": (cells, gold, None),
+    }[cut]
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("documents were scored before the shapes were checked")
+
+    monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
+    with pytest.raises(DimensionError):
+        run_ablation(params, ids, cells, gold, labels, confounded_label="C000", in_group_a=in_group_a)
 
 
 @pytest.mark.parametrize("ks", [(0,), (1, 7)])
@@ -344,7 +373,7 @@ def test_run_ablation_rejects_out_of_range_k_before_scoring(eval_world, monkeypa
 
     monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
     with pytest.raises(ConfigError, match=r"k must be in \[1, 6\]"):
-        run_ablation(docs, params, vocab, labels, ks=ks, max_len=10)
+        ablate(docs, params, vocab, labels, ks=ks)
 
 
 def test_run_ablation_rejects_an_unknown_confounded_label_before_scoring(eval_world, monkeypatch):
@@ -355,15 +384,14 @@ def test_run_ablation_rejects_an_unknown_confounded_label_before_scoring(eval_wo
 
     monkeypatch.setattr(evaluation.M, "pathway_scores_batch", no_scoring)
     with pytest.raises(ValidationError, match="unknown code 'C999'"):
-        run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C999")
+        ablate(docs, params, vocab, labels, confounded_label="C999")
 
 
 def test_run_ablation_modes_subset(eval_world):
     docs, params, vocab, labels = eval_world
-    full = run_ablation(docs, params, vocab, labels, ks=(1, 3), max_len=10, confounded_label="C000")
+    full = ablate(docs, params, vocab, labels, ks=(1, 3), confounded_label="C000")
     modes = (InferenceMode.WO_ZE, InferenceMode.DECI)
-    subset = run_ablation(docs, params, vocab, labels, ks=(1, 3), max_len=10,
-                          confounded_label="C000", modes=modes)
+    subset = ablate(docs, params, vocab, labels, ks=(1, 3), confounded_label="C000", modes=modes)
     assert list(subset) == ["wo-ze", "deci"]
     for mode, report in subset.items():
         assert report == full[mode]
@@ -374,8 +402,7 @@ BIAS_AUDIT_MODES = (InferenceMode.DECI, InferenceMode.NAIVE)
 
 def test_bias_audit_reports_both_modes(eval_world):
     docs, params, vocab, labels = eval_world
-    audit = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000",
-                         modes=BIAS_AUDIT_MODES)
+    audit = ablate(docs, params, vocab, labels, confounded_label="C000", modes=BIAS_AUDIT_MODES)
     assert set(audit) == {"deci", "naive"}
     for disp in (audit["deci"].disparity, audit["naive"].disparity):
         assert disp.label == "C000"
@@ -392,8 +419,7 @@ def test_bias_audit_handles_group_without_negatives(eval_world):
         Document(id="c", text="k001w0", age=30, gender="M", codes=("C001",)),
         Document(id="d", text="k002w0", age=20, gender="F", codes=("C002",)),
     ]
-    audit = run_ablation(docs, params, vocab, labels, max_len=10, confounded_label="C000",
-                         modes=BIAS_AUDIT_MODES)
+    audit = ablate(docs, params, vocab, labels, confounded_label="C000", modes=BIAS_AUDIT_MODES)
     deci = audit["deci"].disparity
     assert deci.group_a_fpr is None
     assert deci.gap is None
