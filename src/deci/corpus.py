@@ -37,9 +37,11 @@ CELL_IDS = np.array([[RESERVED_TOKENS.index(age), RESERVED_TOKENS.index(gender)]
 _NON_WORD_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 
 
-def words(text: str) -> list[str]:
-    """The lowercased runs of ASCII letters and digits in text."""
-    return text.lower().encode("utf-8", "surrogatepass").translate(_NON_WORD_BYTES).decode("ascii").split()
+def words(text: str, limit: int | None = None) -> list[str]:
+    """The lowercased runs of ASCII letters and digits in text, or the first
+    limit of them: words(text, limit) == words(text)[:limit]."""
+    spaced = text.lower().encode("utf-8", "surrogatepass").translate(_NON_WORD_BYTES).decode("ascii")
+    return spaced.split() if limit is None else spaced.split(None, limit)[:limit]
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ class LabelSpace:
     def multi_hot_rows(self, docs) -> np.ndarray:
         """(n_docs, n_labels) float64 gold matrix, 1.0 at each document's codes."""
         y = np.zeros((len(docs), len(self._labels)))
-        for row, doc in zip(y, docs):
-            row[[self.index(c) for c in doc.codes]] = 1.0
+        y[np.repeat(np.arange(len(docs)), [len(d.codes) for d in docs]),
+          [self.index(c) for d in docs for c in d.codes]] = 1.0
         return y
 
     @classmethod

@@ -70,6 +70,17 @@ def final_scores_from_z(z_k, z_d, z_e, mode: InferenceMode) -> np.ndarray:
     raise ValueError(f"unknown inference mode {mode!r}")
 
 
+def _rank_auc(ordered: np.ndarray, pos_scores: np.ndarray) -> float:
+    """AUC from every score, sorted, and the positives' scores, sorted too,
+    which speeds up their searches. Both classes must be present."""
+    n_pos = pos_scores.size
+    n_neg = ordered.size - n_pos
+    # twice each 1-based average rank is an integer, so the sum is exact
+    twice_ranks = (np.searchsorted(ordered, pos_scores, "left")
+                   + np.searchsorted(ordered, pos_scores, "right") + 1)
+    return float((int(twice_ranks.sum()) - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg))
+
+
 def roc_auc(scores, labels) -> float | None:
     """Probability a positive outranks a negative, ties counted half.
 
@@ -82,15 +93,9 @@ def roc_auc(scores, labels) -> float | None:
     if scores.shape != labels.shape:
         raise DimensionError(f"scores/labels length mismatch: {scores.shape} vs {labels.shape}")
     pos = labels == 1.0
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if not 0 < np.count_nonzero(pos) < labels.size:
         return None
-    ordered, pos_scores = np.sort(scores), scores[pos]
-    # twice each 1-based average rank is an integer, so the sum is exact
-    twice_ranks = (np.searchsorted(ordered, pos_scores, "left")
-                   + np.searchsorted(ordered, pos_scores, "right") + 1)
-    return float((int(twice_ranks.sum()) - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg))
+    return _rank_auc(np.sort(scores), np.sort(scores[pos]))
 
 
 def _f1(tp, fp, fn) -> np.ndarray:
@@ -174,34 +179,48 @@ class EvalReport:
     disparity: Disparity | None
 
 
-def _report(scores, gold, label_space, mode, ks, confounded_label, in_group_a) -> EvalReport:
+@dataclass
+class _Gold:
+    """A split's gold matrix with the work that every mode's report shares."""
+
+    matrix: np.ndarray      # (docs, labels) as given
+    binary: np.ndarray      # matrix.astype(bool), for F1, P@k and the FPR
+    auc_rows: list          # (label index, its positive rows) per label with both classes
+    auc_skipped: list[str]  # the labels with a single class
+
+    @classmethod
+    def of(cls, gold: np.ndarray, label_space: LabelSpace) -> "_Gold":
+        is_pos = gold == 1.0  # roc_auc's positives
+        n_pos = np.count_nonzero(is_pos, axis=0)
+        two_class = (0 < n_pos) & (n_pos < len(gold))
+        if not two_class.any():
+            raise EvaluationError("every label is degenerate: AUC undefined for all of them")
+        auc_rows = [(li, np.flatnonzero(is_pos[:, li])) for li in np.flatnonzero(two_class)]
+        return cls(gold, gold.astype(bool), auc_rows,
+                   [label for label, both in zip(label_space, two_class) if not both])
+
+
+def _report(scores, gold: _Gold, label_space, mode, ks, confounded_label, in_group_a) -> EvalReport:
+    """One mode's report. One sort ranks every label's column, and each label's
+    AUC is roc_auc's: its sorted positives are searched in its ranked column."""
     pred = scores >= 0.5
-    per_label_auc = []
-    skipped = []
-    for li, label in enumerate(label_space):
-        auc = roc_auc(scores[:, li], gold[:, li])
-        if auc is None:
-            skipped.append(label)
-        else:
-            per_label_auc.append(auc)
-    if not per_label_auc:
-        raise EvaluationError("every label is degenerate: AUC undefined for all of them")
-    micro_auc = roc_auc(scores.ravel(), gold.ravel())
-    macro_f1, micro_f1, per_label_f1 = f1_scores(pred, gold)
+    ranked = np.sort(scores.T, axis=1)
+    per_label_auc = [_rank_auc(ranked[li], np.sort(scores[rows, li])) for li, rows in gold.auc_rows]
+    macro_f1, micro_f1, per_label_f1 = f1_scores(pred, gold.binary)
     disparity = None
     if confounded_label is not None:
         li = label_space.index(confounded_label)
-        disparity = _disparity(pred[:, li], gold[:, li].astype(bool), in_group_a, confounded_label)
+        disparity = _disparity(pred[:, li], gold.binary[:, li], in_group_a, confounded_label)
     return EvalReport(
         mode=mode.value,
         n_docs=int(scores.shape[0]),
         macro_auc=float(np.mean(per_label_auc)),
-        micro_auc=micro_auc,
+        micro_auc=roc_auc(scores.ravel(), gold.matrix.ravel()),
         macro_f1=macro_f1,
         micro_f1=micro_f1,
-        p_at_k={k: precision_at_k(scores, gold, k) for k in sorted(set(ks))},
+        p_at_k={k: precision_at_k(scores, gold.binary, k) for k in sorted(set(ks))},
         per_label_f1=[float(v) for v in per_label_f1],
-        auc_skipped_labels=skipped,
+        auc_skipped_labels=list(gold.auc_skipped),
         disparity=disparity,
     )
 
@@ -231,6 +250,7 @@ def run_ablation(params: M.ModelParams, ids, cells, gold, label_space: LabelSpac
         in_group_a = np.asarray(in_group_a, dtype=bool)
         if in_group_a.shape != (n,):
             raise DimensionError(f"in_group_a must have shape ({n},), got {in_group_a.shape}")
+    gold = _Gold.of(np.asarray(gold), label_space)
     z_k, z_d, z_e = M.pathway_scores_batch(params, ids, cells)
     return {mode.value: _report(final_scores_from_z(z_k, z_d, z_e, mode), gold, label_space,
                                 mode, ks, confounded_label, in_group_a)

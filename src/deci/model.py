@@ -29,6 +29,7 @@ from .errors import ConfigError, DimensionError
 
 _GATHER_FLOATS = 1 << 16  # per attention-product block; a default training batch is one
 _SCORE_ROWS = 256  # notes per scoring chunk
+_SHORT_ROW = 16  # widest softmax row whose max is taken column by column
 
 @dataclass
 class ModelConfig:
@@ -154,7 +155,15 @@ def _row_blocks(B: int, N: int, d_h: int) -> list[slice]:
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """Softmax of x over its last axis, in place; returns x. A row of -inf
     only, an all-PAD document's attention logits, becomes all zeros."""
-    rowmax = x.max(axis=-1, keepdims=True)
+    if 0 < x.shape[-1] <= _SHORT_ROW:
+        # numpy's per-row max is slow on short rows. A max is order-free, and
+        # a +0.0 or -0.0 rowmax gives the same exp(x - rowmax). Empty rows
+        # still reach x.max, which rejects them.
+        rowmax = x[..., :1].copy(order="K")
+        for j in range(1, x.shape[-1]):
+            np.maximum(rowmax, x[..., j:j + 1], out=rowmax)
+    else:
+        rowmax = x.max(axis=-1, keepdims=True)
     rowmax[~np.isfinite(rowmax)] = 0.0
     x -= rowmax
     np.exp(x, out=x)
@@ -304,7 +313,7 @@ def batch_inputs(docs, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.
     if max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {max_len}")
     get = vocab._token_to_id.get  # each note is cut to the window before its lookup
-    notes = [list(map(get, words(d.text)[: max_len - 2], repeat(UNK_ID))) for d in docs]
+    notes = [list(map(get, words(d.text, max_len - 2), repeat(UNK_ID))) for d in docs]
     lengths = np.fromiter(map(len, notes), np.int64, len(notes))
     ids = np.full((len(docs), max_len), PAD_ID, dtype=np.int64)
     cells = 2 * np.searchsorted(AGE_BOUNDS, np.array([d.age for d in docs], np.int64), "right")

@@ -6,14 +6,12 @@ import numpy as np
 def sigmoid(x):
     """Elementwise logistic 1/(1+exp(-x)), stable for |x| up to at least 500.
 
-    Each branch only ever exponentiates a non-positive argument, so large
-    positive inputs cannot overflow.
+    Only exp(-|x|) is ever taken, so large inputs of either sign cannot
+    overflow: with e = exp(-|x|), 1/(1+e) where x >= 0 and e/(1+e) elsewhere.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[neg])
-    out[neg] = e / (1.0 + e)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out

@@ -117,6 +117,12 @@ def test_words_match_the_regex_on_any_text(text):
     assert words(text) == findall_words(text)
 
 
+@given(st.lists(st.one_of(st.characters(exclude_categories=()), st.sampled_from(TRICKY_CHARS)),
+                max_size=40).map("".join), st.integers(min_value=0, max_value=45))
+def test_words_with_a_limit_are_a_prefix(text, limit):
+    assert words(text, limit) == words(text)[:limit]
+
+
 def model_input(doc, vocab, max_len):
     """The batch_inputs row of one document."""
     return batch_inputs([doc], vocab, max_len)[0][0]
@@ -233,6 +239,36 @@ def test_multi_hot_rows_of_no_documents_is_an_empty_matrix():
     unknown = Document(id="x", text="", age=30, gender="M", codes=("C001", "C999"))
     with pytest.raises(ValidationError, match="C999"):
         space.multi_hot_rows([unknown])
+
+
+def per_row_multi_hot(space, docs):
+    """multi_hot_rows as written with a loop over documents, one row at a time."""
+    y = np.zeros((len(docs), len(space)))
+    for row, doc in zip(y, docs):
+        row[[space.index(c) for c in doc.codes]] = 1.0
+    return y
+
+
+@pytest.mark.parametrize("codes", [
+    [("C001", "C001"), (), ("C004", "C000", "C004", "C002"), (), ("C003",)],
+    [(), (), ()],
+    [("C002", "C002", "C002")],
+])
+def test_multi_hot_rows_match_the_per_row_loop(codes):
+    space = LabelSpace([f"C{i:03d}" for i in range(5)])
+    docs = [Document(id=str(i), text="", age=30, gender="M", codes=c) for i, c in enumerate(codes)]
+    gold = space.multi_hot_rows(docs)
+    assert gold.dtype == np.float64
+    assert np.array_equal(gold, per_row_multi_hot(space, docs))
+
+
+def test_multi_hot_rows_name_the_first_unknown_code():
+    space = LabelSpace(["C000", "C001"])
+    docs = [Document(id=i, text="", age=30, gender="M", codes=c)
+            for i, c in (("a", ("C001",)), ("b", ("C000", "C998", "C999")), ("c", ("C997",)))]
+    with pytest.raises(ValidationError) as raised:
+        space.multi_hot_rows(docs)
+    assert str(raised.value) == "unknown code 'C998'"
 
 
 def test_label_space_file_round_trip(tmp_path):

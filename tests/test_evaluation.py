@@ -2,11 +2,12 @@
 
 roc_auc is checked against a brute-force pairwise oracle; P@k against hand
 counts and a per-document oracle; F1 against hand counts; the mode algebra
-against its exact reduction identities.
+against its exact reduction identities; run_ablation's reports against ones
+composed from the public metrics a column at a time.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from deci.corpus import (
 )
 from deci.errors import ConfigError, DimensionError, EvaluationError, ValidationError
 from deci.evaluation import (
+    Disparity,
     InferenceMode,
     f1_scores,
     final_scores_from_z,
@@ -424,3 +426,61 @@ def test_bias_audit_handles_group_without_negatives(eval_world):
     assert deci.group_a_fpr is None
     assert deci.gap is None
     assert deci.group_b_fpr is not None
+
+
+def oracle_report(scores, gold, labels, mode, ks, confounded_label, in_group_a):
+    """One mode's report composed from the public metrics alone, a column at a time."""
+    per_label = [roc_auc(scores[:, li], gold[:, li]) for li in range(len(labels))]
+    pred = scores >= 0.5
+    macro_f1, micro_f1, per_label_f1 = f1_scores(pred, gold)
+    li = labels.index(confounded_label)
+    negatives = gold[:, li] == 0.0
+
+    def fpr(group):
+        n_neg = int((negatives & group).sum())
+        return None if n_neg == 0 else float((pred[:, li] & negatives & group).sum() / n_neg)
+
+    fpr_a, fpr_b = fpr(in_group_a), fpr(~in_group_a)
+    return evaluation.EvalReport(
+        mode=mode.value,
+        n_docs=len(scores),
+        macro_auc=float(np.mean([auc for auc in per_label if auc is not None])),
+        micro_auc=roc_auc(scores.ravel(), gold.ravel()),
+        macro_f1=macro_f1,
+        micro_f1=micro_f1,
+        p_at_k={k: precision_at_k(scores, gold, k) for k in sorted(set(ks))},
+        per_label_f1=[float(v) for v in per_label_f1],
+        auc_skipped_labels=[lab for lab, auc in zip(labels, per_label) if auc is None],
+        disparity=Disparity(confounded_label, fpr_a, fpr_b,
+                            None if fpr_a is None or fpr_b is None else abs(fpr_a - fpr_b)),
+    )
+
+
+def test_run_ablation_reports_equal_the_public_metrics_bitwise(eval_world, monkeypatch):
+    docs, params, vocab, labels = eval_world
+    ids, cells, _, _ = split_arrays(docs, vocab, labels)
+    n, L = len(ids), len(labels)
+    rng = np.random.default_rng(8)
+    # pathway scores on a two-decimal grid, so that every mode's scores tie
+    z_k = np.round(rng.normal(0.0, 1.0, (n, L)), 2)
+    z_d = np.round(rng.choice([-0.5, 0.0, 0.25], (n, L)), 2)
+    z_e = np.round(rng.choice([-0.25, 0.0, 0.5], (n, L)), 2)
+    monkeypatch.setattr(evaluation.M, "pathway_scores_batch", lambda *args: (z_k, z_d, z_e))
+    gold = (rng.random((n, L)) < 0.4).astype(np.float64)
+    gold[:, 2], gold[:, 4] = 0.0, 1.0  # labels with a single class
+    in_group_a = rng.random(n) < 0.3
+    gold[in_group_a, 0] = 1.0  # group A has no negatives on the confounded label
+    ks = (3, 1, 3)
+    table = run_ablation(params, ids, cells, gold, labels, ks=ks, confounded_label="C000",
+                         in_group_a=in_group_a)
+    assert list(table) == [mode.value for mode in InferenceMode]
+    for mode in InferenceMode:
+        scores = final_scores_from_z(z_k, z_d, z_e, mode)
+        assert np.unique(scores).size < scores.size
+        report = table[mode.value]
+        want = oracle_report(scores, gold, labels, mode, ks, "C000", in_group_a)
+        assert report.auc_skipped_labels == ["C002", "C004"]
+        assert report.disparity.group_a_fpr is None
+        for field in fields(report):
+            got, expected = getattr(report, field.name), getattr(want, field.name)
+            assert repr(got) == repr(expected), (mode.value, field.name)

@@ -172,6 +172,34 @@ def test_attention_all_pad_degenerate(params):
     np.testing.assert_array_equal(br.attention, 0.0)
 
 
+def row_max_softmax_last(x):
+    """_softmax_last as written with x.max(axis=-1), the oracle for its
+    column-by-column max on short rows; works on a copy."""
+    rowmax = x.max(axis=-1, keepdims=True)
+    rowmax[~np.isfinite(rowmax)] = 0.0
+    e = np.exp(x - rowmax)
+    denom = e.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    return e / denom
+
+
+@pytest.mark.parametrize("width", range(1, model._SHORT_ROW + 2))
+def test_softmax_short_row_max_is_bitwise_the_row_max(width):
+    rng = np.random.default_rng(width)
+    x = rng.normal(0.0, 3.0, (5, 4, width))
+    x[0, 0] = -np.inf  # an all-PAD note's attention logits
+    x[1, :, 1::2] = -np.inf  # PAD positions among finite logits
+    x[2] = -np.abs(x[2])  # rows whose max is a signed zero, +0.0 and -0.0 both
+    x[2, :, 0], x[2, :, -1] = 0.0, -0.0
+    x[2, 1, 0], x[2, 1, -1] = -0.0, 0.0
+    x[3, :, 0] = -0.0
+    for layout in (x, np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)):
+        want = row_max_softmax_last(layout)
+        got = model._softmax_last(layout.copy(order="K"))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(got[0, 0], 0.0)
+
+
 def test_expert_scores_zero_repr_gives_biases(params):
     p = randomized(params, 4)
     br = branch(p, [0, 0])  # an all-PAD row has a zero label representation

@@ -4,6 +4,8 @@ Expected values were computed once with mpmath at 50 digits and pasted in as
 literals, so these tests do not share code with the implementation under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,55 @@ def test_sigmoid_antisymmetry(x):
 @given(st.floats(min_value=-30.0, max_value=30.0), st.floats(min_value=0.0, max_value=5.0))
 def test_sigmoid_monotone(x, dx):
     assert sigmoid(x + dx) >= sigmoid(x)
+
+
+def masked_sigmoid(x):
+    """sigmoid as written with boolean masks, one branch per sign: the oracle
+    for its mask-free form."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    neg = ~pos
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[neg])
+    out[neg] = e / (1.0 + e)
+    return out
+
+
+# signed zeros and infinities, the smallest subnormal and normal, the largest
+# subnormal, the edges of exp's overflow (~709.8) and underflow (~-745.1), and
+# the largest finite magnitudes
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 2.225073858507201e-308, -2.225073858507201e-308,
+                 710.0, -710.0, 709.78, -709.78, 745.0, -745.0, 745.2, -745.2, 1e308, -1e308]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_sigmoid_is_bitwise_the_masked_two_branch_form():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([SIGMOID_EDGES, *(rng.standard_normal(2000) * scale
+                                        for scale in (1e-310, 1e-300, 1e-8, 1.0, 30.0, 800.0, 1e300))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sigmoid(x)
+        strided = sigmoid(x.reshape(-1, 20).T[::3])
+        scalars = [sigmoid(v) for v in SIGMOID_EDGES]
+    assert np.array_equal(bits(got), bits(masked_sigmoid(x)))
+    assert np.array_equal(bits(strided), bits(masked_sigmoid(x.reshape(-1, 20).T[::3])))
+    assert [s.shape for s in scalars] == [()] * len(SIGMOID_EDGES)
+    assert np.array_equal(bits(scalars), bits(masked_sigmoid(SIGMOID_EDGES)))
+
+
+def test_sigmoid_of_nan_is_nan_without_warnings():
+    x = np.array([np.nan, 1.0, -np.nan, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = sigmoid(x)
+    assert np.isnan(out[[0, 2]]).all()
+    assert np.array_equal(bits(out[[1, 3]]), bits(masked_sigmoid(x[[1, 3]])))
 
 
 def params_of(w):
